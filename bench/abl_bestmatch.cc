@@ -18,7 +18,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Ablation", "First-match vs best-match selection");
     auto profiles = bench::loadAllProfiles(args);
@@ -32,7 +32,7 @@ main(int argc, char **argv)
     phase::ClassifierConfig best_cfg = cfg;
     best_cfg.matchPolicy = phase::MatchPolicy::BestMatch;
     auto results =
-        analysis::runGrid(profiles, {cfg, best_cfg}, args.jobs);
+        analysis::runGrid(profiles, {cfg, best_cfg}, args.jobs());
 
     AsciiTable table({"workload", "first CoV", "best CoV",
                       "first phases", "best phases"});

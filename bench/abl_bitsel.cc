@@ -24,7 +24,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Ablation", "Dynamic vs static bit selection");
     auto profiles = bench::loadAllProfiles(args);
@@ -58,7 +58,7 @@ main(int argc, char **argv)
         cfg.bitsPerDim = b;
         grid_cfgs.push_back(cfg);
     }
-    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs);
+    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs());
     const std::size_t cols = grid_cfgs.size();
 
     std::vector<std::string> headers = {"workload", "dynamic"};

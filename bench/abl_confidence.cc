@@ -20,7 +20,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Ablation",
                   "Last-value confidence-counter configurations");
@@ -29,7 +29,7 @@ main(int argc, char **argv)
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();
     auto classified =
-        analysis::runGrid(profiles, {ccfg}, args.jobs);
+        analysis::runGrid(profiles, {ccfg}, args.jobs());
     std::vector<std::vector<PhaseId>> traces;
     for (analysis::ClassificationResult &res : classified)
         traces.push_back(std::move(res.trace.phases));

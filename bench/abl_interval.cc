@@ -23,7 +23,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(argc, argv);
+    cli::ParsedArgs args = bench::parseArgs(argc, argv);
     bench::banner("Ablation", "Interval-length sensitivity");
 
     const char *names[] = {"ammp", "gcc/s", "gzip/p", "mcf"};
@@ -36,7 +36,7 @@ main(int argc, char **argv)
     // builds per path and profiles of different lengths build in
     // parallel.
     auto results = analysis::runIndexed(
-        4 * num_lengths, args.jobs, [&](std::size_t i) {
+        4 * num_lengths, args.jobs(), [&](std::size_t i) {
             trace::ProfileOptions opts;
             opts.intervalLen = lengths[i % num_lengths];
             trace::IntervalProfile profile =

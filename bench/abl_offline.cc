@@ -39,14 +39,14 @@ struct OfflineRow
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Online vs offline (SimPoint-style) classification",
                   "CPI CoV and phase counts");
     auto profiles = bench::loadAllProfiles(args);
 
     auto rows = analysis::runIndexed(
-        profiles.size(), args.jobs, [&](std::size_t w) {
+        profiles.size(), args.jobs(), [&](std::size_t w) {
             const trace::IntervalProfile &profile =
                 profiles[w].second;
             OfflineRow row;

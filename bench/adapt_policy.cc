@@ -29,16 +29,16 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"lattice", true,
+        {{"lattice", cli::Kind::Text,
           "config lattice: standard | small (default small)"},
-         {"core", true,
+         {"core", cli::Kind::Text,
           "profiling core: simple | ooo (default simple)"},
-         {"min-oracle", true,
+         {"min-oracle", cli::Kind::Real,
           "exit 1 if the best greedy oracle fraction across "
           "workloads stays below this (CI tripwire; default off)"},
-         {"json", true,
+         {"json", cli::Kind::Text,
           "write AdaptReport JSON (default adapt_policy.json; "
           "'-' disables)"},
          bench::traceFlag()});
@@ -74,7 +74,7 @@ main(int argc, char **argv)
     // cell (profiles dominate the cost; policies replay in
     // microseconds).
     auto per_workload = analysis::runIndexed(
-        names.size(), args.jobs, [&](std::size_t w) {
+        names.size(), args.jobs(), [&](std::size_t w) {
             std::vector<adapt::AdaptReport> reports;
             for (const std::string &policy : policies) {
                 if (args.has("trace"))

@@ -218,20 +218,21 @@ jsonRow(const RowResult &r)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"families", true,
+        {{"families", cli::Kind::Text,
           "stressor families to sweep (default: all four)"},
-         {"seeds", true, "generator seeds per family (default 1)"},
-         {"intervals", true,
+         {"seeds", cli::Kind::Text,
+          "generator seeds per family (default 1)"},
+         {"intervals", cli::Kind::U64,
           "intervals per adversarial stream (default 600)"},
-         {"baseline", true,
+         {"baseline", cli::Kind::Text,
           "synthetic baseline workloads (default "
           "ammp,gcc/s,gzip/p,mcf; 'none' disables)"},
-         {"floors", true,
+         {"floors", cli::Kind::Text,
           "per-family floor file (family purity mit_agree); "
           "exit 1 on violation"},
-         {"json", true,
+         {"json", cli::Kind::Text,
           "write rows as JSON (default adversarial_sweep.json; "
           "'-' disables)"}});
 
@@ -244,11 +245,11 @@ main(int argc, char **argv)
         for (const std::string &f : families)
             if (!workload::isAdversarialFamily(f))
                 tpcp_raise("unknown adversarial family '", f, "'");
-        std::vector<std::uint64_t> seeds;
-        for (const std::string &s :
-             bench::splitCsv(args.get("seeds", "1")))
-            seeds.push_back(
-                std::strtoull(s.c_str(), nullptr, 10));
+        std::vector<std::uint64_t> seeds = bench::csvValues(
+            args, "seeds", "1", "non-negative integers",
+            [](std::string_view s) {
+                return cli::parseUnsigned(s, UINT64_MAX);
+            });
         std::size_t intervals = args.getU64("intervals", 600);
         std::string baseline =
             args.get("baseline", "ammp,gcc/s,gzip/p,mcf");
@@ -276,7 +277,7 @@ main(int argc, char **argv)
             }
 
         auto results = analysis::runIndexed(
-            rows.size(), args.jobs, [&](std::size_t i) {
+            rows.size(), args.jobs(), [&](std::size_t i) {
                 return runRow(rows[i], intervals);
             });
 

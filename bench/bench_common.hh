@@ -17,13 +17,13 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/parallel_runner.hh"
+#include "common/cli.hh"
 #include "trace/profile_cache.hh"
 #include "trace/trace_workload.hh"
 #include "workload/workload.hh"
@@ -31,174 +31,48 @@
 namespace tpcp::bench
 {
 
-/** An extra flag a harness accepts beyond the shared --jobs. */
-struct FlagSpec
+/** Every harness's flags: the shared --jobs, then @p extras. */
+inline std::vector<cli::FlagSpec>
+harnessFlags(const std::vector<cli::FlagSpec> &extras)
 {
-    /** Flag name without the leading "--". */
-    std::string name;
-    /** Whether the flag consumes a value (--name=V or --name V). */
-    bool takesValue = true;
-    /** One-line description shown by --help and on errors. */
-    std::string help;
-};
-
-/** Command-line options shared by every harness. */
-struct BenchArgs
-{
-    /** Worker threads: 0 = one per hardware thread, 1 = serial. */
-    unsigned jobs = 0;
-    /** Values of the harness-specific flags, keyed by flag name
-     * (value-less flags map to ""). */
-    std::map<std::string, std::string> extra;
-
-    bool has(const std::string &name) const
-    {
-        return extra.count(name) != 0;
-    }
-
-    std::string
-    get(const std::string &name, const std::string &dflt) const
-    {
-        auto it = extra.find(name);
-        return it == extra.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    getU64(const std::string &name, std::uint64_t dflt) const
-    {
-        auto it = extra.find(name);
-        return it == extra.end()
-                   ? dflt
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
-    }
-
-    double
-    getDouble(const std::string &name, double dflt) const
-    {
-        auto it = extra.find(name);
-        return it == extra.end()
-                   ? dflt
-                   : std::strtod(it->second.c_str(), nullptr);
-    }
-};
-
-/** The valid-options listing printed by --help and on errors. */
-inline std::string
-optionHelp(const std::vector<FlagSpec> &extras)
-{
-    std::string out =
-        "  --jobs=N  worker threads (0 = one per hardware thread, "
-        "1 = serial)\n";
-    for (const FlagSpec &f : extras) {
-        out += "  --" + f.name + (f.takesValue ? "=V" : "") + "  " +
-               f.help + "\n";
-    }
-    return out;
+    std::vector<cli::FlagSpec> flags = {cli::jobsFlag()};
+    flags.insert(flags.end(), extras.begin(), extras.end());
+    return flags;
 }
 
 /**
- * Parses harness arguments: the shared --jobs plus any
- * harness-specific @p extras, in --flag=value or --flag value form.
- * Returns std::nullopt with an error message in @p error for
- * unknown or malformed flags — a typo like --job=4 must fail
- * loudly, not silently run the full serial sweep.
+ * Parses harness arguments: the shared --jobs plus @p extras.
+ * Harnesses take no positional arguments. Returns std::nullopt with
+ * the message in @p error for unknown or malformed flags — a typo
+ * like --job=4 must fail loudly, not silently run the full serial
+ * sweep.
  */
-inline std::optional<BenchArgs>
+inline std::optional<cli::ParsedArgs>
 tryParseArgs(const std::vector<std::string> &argv,
-             const std::vector<FlagSpec> &extras,
+             const std::vector<cli::FlagSpec> &extras,
              std::string &error)
 {
-    BenchArgs args;
-    for (std::size_t i = 0; i < argv.size(); ++i) {
-        const std::string &arg = argv[i];
-        std::string key = arg, value;
-        bool has_value = false;
-        if (auto eq = arg.find('='); eq != std::string::npos) {
-            key = arg.substr(0, eq);
-            value = arg.substr(eq + 1);
-            has_value = true;
-        }
-
-        const FlagSpec *spec = nullptr;
-        static const FlagSpec jobs_spec{"jobs", true, ""};
-        if (key == "--jobs") {
-            spec = &jobs_spec;
-        } else {
-            for (const FlagSpec &f : extras)
-                if (key == "--" + f.name)
-                    spec = &f;
-        }
-        if (!spec) {
-            error = "unknown argument '" + arg +
-                    "'\nvalid options:\n" + optionHelp(extras);
-            return std::nullopt;
-        }
-        if (spec->takesValue && !has_value) {
-            if (i + 1 >= argv.size()) {
-                error = "--" + spec->name + " expects a value\n" +
-                        "valid options:\n" + optionHelp(extras);
-                return std::nullopt;
-            }
-            value = argv[++i];
-        } else if (!spec->takesValue && has_value) {
-            error = "--" + spec->name + " takes no value\n" +
-                    "valid options:\n" + optionHelp(extras);
-            return std::nullopt;
-        }
-
-        if (spec->name == "jobs") {
-            char *end = nullptr;
-            unsigned long n =
-                std::strtoul(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0') {
-                error = "--jobs expects a non-negative integer, "
-                        "got '" + value + "'";
-                return std::nullopt;
-            }
-            args.jobs = static_cast<unsigned>(n);
-        } else {
-            args.extra[spec->name] = value;
-        }
-    }
-    return args;
+    return cli::tryParse(argv, harnessFlags(extras), false, error);
 }
 
-/**
- * Parses harness arguments (--jobs / extras / --help); prints the
- * valid options and exits on errors, so every harness rejects
- * unknown flags the same way.
- */
-inline BenchArgs
+/** tryParseArgs() for a harness process: --help prints the valid
+ * options and exits 0, an error exits 2. */
+inline cli::ParsedArgs
 parseArgs(int argc, char **argv,
-          const std::vector<FlagSpec> &extras = {})
+          const std::vector<cli::FlagSpec> &extras = {})
 {
-    std::vector<std::string> in;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: " << argv[0] << " [options]\n"
-                      << optionHelp(extras);
-            std::exit(0);
-        }
-        in.push_back(std::move(arg));
-    }
-    std::string error;
-    std::optional<BenchArgs> args =
-        tryParseArgs(in, extras, error);
-    if (!args) {
-        std::cerr << "error: " << error << "\n";
-        std::exit(2);
-    }
-    return *args;
+    return cli::parseOrExit({argv + 1, argv + argc},
+                            harnessFlags(extras), false,
+                            std::string(argv[0]) + " [options]");
 }
 
 /** The shared `--trace=` flag: every profile-replaying harness
  * accepts ingested `.tpcptrace` files in place of the synthetic
  * workload set. */
-inline FlagSpec
+inline cli::FlagSpec
 traceFlag()
 {
-    return {"trace", true,
+    return {"trace", cli::Kind::Text,
             "comma-separated .tpcptrace files to analyze instead "
             "of the 11 synthetic workloads"};
 }
@@ -220,6 +94,31 @@ splitCsv(const std::string &csv)
     }
     if (!field.empty())
         out.push_back(std::move(field));
+    return out;
+}
+
+/**
+ * The comma-separated fields of --@p name (default @p dflt), each
+ * converted by @p parse (a cli::parseReal-like function returning
+ * std::optional). Exits 2 naming the flag when there is no field or
+ * @p parse rejects one; @p what describes the valid fields.
+ */
+template <typename Parse>
+auto
+csvValues(const cli::ParsedArgs &args, const std::string &name,
+          const std::string &dflt, const std::string &what, Parse parse)
+{
+    const std::string csv = args.get(name, dflt);
+    const std::vector<std::string> fields = splitCsv(csv);
+    std::vector<typename decltype(parse(""))::value_type> out;
+    for (const std::string &field : fields)
+        if (auto v = parse(field))
+            out.push_back(*v);
+    if (fields.empty() || out.size() != fields.size()) {
+        std::cerr << "error: --" << name << " expects comma-separated "
+                  << what << ", got '" << csv << "'\n";
+        std::exit(2);
+    }
     return out;
 }
 
@@ -259,7 +158,7 @@ loadAllProfiles(const trace::ProfileOptions &opts = {},
  * synthetic benchmark set otherwise.
  */
 inline std::vector<std::pair<std::string, trace::IntervalProfile>>
-loadAllProfiles(const BenchArgs &args,
+loadAllProfiles(const cli::ParsedArgs &args,
                 const trace::ProfileOptions &opts = {})
 {
     if (args.has("trace")) {
@@ -283,7 +182,7 @@ loadAllProfiles(const BenchArgs &args,
         }
         return out;
     }
-    return loadAllProfiles(opts, args.jobs);
+    return loadAllProfiles(opts, args.jobs());
 }
 
 /** Arithmetic mean of a vector (0 when empty). */

@@ -570,14 +570,14 @@ loadFloors(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"cycles", true,
+        {{"cycles", cli::Kind::U64,
           "push cycles for the fairness cell (default 400)"},
-         {"floors", true,
+         {"floors", cli::Kind::Text,
           "floor file (metric min_value per line); exit 1 on "
           "violation"},
-         {"json", true,
+         {"json", cli::Kind::Text,
           "write metrics as JSON (default chaos_sweep.json; "
           "'-' disables)"}});
 
@@ -593,7 +593,7 @@ main(int argc, char **argv)
 
         double base_jain = 0.0, res_jain = 0.0;
         auto cells = analysis::runIndexed(
-            6, args.jobs,
+            6, args.jobs(),
             [&](std::size_t i) -> std::vector<Metric> {
                 switch (i) {
                 case 0:

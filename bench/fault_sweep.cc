@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
@@ -31,42 +30,25 @@
 
 using namespace tpcp;
 
-namespace
-{
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"rates", true, "per-interval fault rates (CSV)"},
-         {"targets", true, "fault targets (CSV)"},
-         {"seed", true, "campaign seed"},
-         {"scrub-every", true, "mitigated scrub period (intervals)"},
-         {"json", true, "write ResilienceReports as JSON"},
+        {{"rates", cli::Kind::Text, "per-interval fault rates (CSV)"},
+         {"targets", cli::Kind::Text, "fault targets (CSV)"},
+         {"seed", cli::Kind::U64, "campaign seed"},
+         {"scrub-every", cli::Kind::U32,
+          "mitigated scrub period (intervals)"},
+         {"json", cli::Kind::Text, "write ResilienceReports as JSON"},
          bench::traceFlag()});
 
-    std::vector<double> rates;
-    for (const std::string &s :
-         splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
-        rates.push_back(std::strtod(s.c_str(), nullptr));
+    std::vector<double> rates =
+        bench::csvValues(args, "rates", "0.001,0.01,0.05,0.2",
+                         "finite non-negative numbers", cli::parseReal);
     std::vector<fault::Target> targets;
     std::vector<std::string> target_names =
-        splitCsv(args.get("targets", "signature,change-table,all"));
+        bench::splitCsv(args.get("targets", "signature,change-table,all"));
 
     bench::banner("fault_sweep",
                   "soft-error resilience: rate x structure x "
@@ -96,11 +78,10 @@ main(int argc, char **argv)
                         cells.push_back({t, r, w, m != 0});
 
         std::uint64_t seed = args.getU64("seed", 0x5eedfa17);
-        unsigned scrub = static_cast<unsigned>(
-            args.getU64("scrub-every", 1));
+        unsigned scrub = args.getU32("scrub-every", 1);
         std::vector<fault::ResilienceReport> reports =
             analysis::runIndexed(
-                cells.size(), args.jobs, [&](std::size_t i) {
+                cells.size(), args.jobs(), [&](std::size_t i) {
                     const Cell &c = cells[i];
                     fault::ResilienceOptions opts;
                     opts.injector.target = targets[c.target];

@@ -18,7 +18,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Table 1", "Baseline Simulation Model");
     std::cout << uarch::MachineConfig::table1().toString() << "\n";

@@ -22,7 +22,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 2",
                   "CPI CoV and phase count vs signature-table size");
@@ -43,7 +43,7 @@ main(int argc, char **argv)
         cfg.tableEntries = entries;
         configs.push_back(cfg);
     }
-    auto results = analysis::runGrid(profiles, configs, args.jobs);
+    auto results = analysis::runGrid(profiles, configs, args.jobs());
 
     AsciiTable cov({"workload", "16 entry CoV", "32 entry CoV",
                     "64 entry CoV", "inf CoV"});

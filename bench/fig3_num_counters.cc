@@ -21,7 +21,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 3",
                   "CPI CoV and phase count vs signature counters");
@@ -38,7 +38,7 @@ main(int argc, char **argv)
         cfg.tableEntries = 32;
         configs.push_back(cfg);
     }
-    auto results = analysis::runGrid(profiles, configs, args.jobs);
+    auto results = analysis::runGrid(profiles, configs, args.jobs());
 
     AsciiTable cov({"workload", "8 dim", "16 dim", "32 dim", "64 dim",
                     "Whole Program"});

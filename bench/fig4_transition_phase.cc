@@ -46,7 +46,7 @@ constexpr std::size_t numConfigs =
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 4",
                   "Transition-phase classification (similarity x "
@@ -66,7 +66,7 @@ main(int argc, char **argv)
         cfg.minCountThreshold = c.minCount;
         grid_cfgs.push_back(cfg);
     }
-    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs);
+    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs());
 
     AsciiTable cov(headers);
     AsciiTable phases(headers);

@@ -20,7 +20,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 5",
                   "Average stable and transition phase lengths");
@@ -31,7 +31,7 @@ main(int argc, char **argv)
     cfg.tableEntries = 32;
     cfg.similarityThreshold = 0.25;
     cfg.minCountThreshold = 8;
-    auto results = analysis::runGrid(profiles, {cfg}, args.jobs);
+    auto results = analysis::runGrid(profiles, {cfg}, args.jobs());
 
     AsciiTable table({"workload", "stable avg", "stable stddev",
                       "stable runs", "trans avg", "trans stddev",

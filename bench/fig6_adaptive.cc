@@ -47,7 +47,7 @@ constexpr std::size_t numConfigs =
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 6",
                   "Adaptive similarity thresholds (phase splitting)");
@@ -68,7 +68,7 @@ main(int argc, char **argv)
         cfg.cpiDeviationThreshold = c.deviation;
         grid_cfgs.push_back(cfg);
     }
-    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs);
+    auto results = analysis::runGrid(profiles, grid_cfgs, args.jobs());
 
     AsciiTable cov(headers);
     AsciiTable phases(headers);

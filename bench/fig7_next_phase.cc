@@ -29,7 +29,7 @@ using pred::PredictorSpec;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 7", "Next Phase Prediction");
     auto profiles = bench::loadAllProfiles(args);
@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
     // Classify every workload once; predictors replay the traces.
     auto classified =
-        analysis::runGrid(profiles, {ccfg}, args.jobs);
+        analysis::runGrid(profiles, {ccfg}, args.jobs());
     std::vector<std::vector<PhaseId>> traces;
     for (analysis::ClassificationResult &res : classified)
         traces.push_back(std::move(res.trace.phases));
@@ -86,14 +86,13 @@ main(int argc, char **argv)
         bars.push_back({"RLE-2 NoConf", tbl(no_conf)});
     }
     bars.push_back({"TAGE", PredictorSpec::tageSpec()});
-    bars.push_back({"Perceptron", PredictorSpec::perceptronSpec()});
 
     AsciiTable table({"predictor", "corr table", "corr lv conf",
                       "corr lv unconf", "inc lv unconf",
                       "inc lv conf", "inc table", "accuracy",
                       "conf acc", "conf cover"});
     auto aggs = analysis::runIndexed(
-        bars.size(), args.jobs, [&](std::size_t b) {
+        bars.size(), args.jobs(), [&](std::size_t b) {
             pred::NextPhaseStats agg;
             for (const auto &trace : traces)
                 agg.merge(bars[b].spec

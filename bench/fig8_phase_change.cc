@@ -26,7 +26,7 @@ using pred::PredictorSpec;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 8", "Phase Change Prediction");
     auto profiles = bench::loadAllProfiles(args);
@@ -34,7 +34,7 @@ main(int argc, char **argv)
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();
     auto classified =
-        analysis::runGrid(profiles, {ccfg}, args.jobs);
+        analysis::runGrid(profiles, {ccfg}, args.jobs());
     std::vector<std::vector<PhaseId>> traces;
     for (analysis::ClassificationResult &res : classified)
         traces.push_back(std::move(res.trace.phases));
@@ -58,13 +58,12 @@ main(int argc, char **argv)
           ChangePredictorConfig::rle(2, PayloadView::Top4)})
         bars.push_back(PredictorSpec::tableSpec(cfg));
     bars.push_back(PredictorSpec::tageSpec());
-    bars.push_back(PredictorSpec::perceptronSpec());
 
     AsciiTable table({"predictor", "conf corr", "unconf corr",
                       "tag miss", "unconf inc", "conf inc",
                       "correct", "conf mispred"});
     auto aggs = analysis::runIndexed(
-        bars.size(), args.jobs, [&](std::size_t b) {
+        bars.size(), args.jobs(), [&](std::size_t b) {
             pred::ChangeOutcomeStats agg;
             for (const auto &trace : traces)
                 agg.merge(pred::evalChangeOutcome(trace, bars[b]));

@@ -1,22 +1,22 @@
 /**
  * @file
- * Figure-8 extension sweep: the geometric-history (TAGE) and
- * perceptron predictors against the paper's best table configs,
- * per workload, plus confidence-gating coverage-vs-accuracy curves.
+ * Figure-8 extension sweep: the geometric-history (TAGE) predictor
+ * against the paper's best table configs, per workload, plus a
+ * confidence-gating coverage-vs-accuracy curve.
  *
  * Three products:
  *  - a per-workload table of phase-change prediction rates for the
- *    paper's best Markov/RLE configs, the two new predictors and the
- *    perfect-Markov-1 upper bound, with the fraction of the
- *    remaining gap to perfect that the best new predictor closes;
- *  - coverage-vs-accuracy curves swept over the TAGE confidence
- *    threshold and the perceptron margin (the confidence gate trades
- *    coverage for confident accuracy, Figure-8 style);
+ *    paper's best Markov/RLE configs, TAGE and the perfect-Markov-1
+ *    upper bound, with the fraction of the remaining gap to perfect
+ *    that TAGE closes;
+ *  - a coverage-vs-accuracy curve swept over the TAGE confidence
+ *    threshold (the confidence gate trades coverage for confident
+ *    accuracy, Figure-8 style);
  *  - a JSON dump of all of the above (--json, default
  *    fig8_sweep.json).
  *
- * --check-improve is the CI tripwire: exit 1 unless the best new
- * predictor's aggregate correct rate beats the RLE-2 baseline.
+ * --check-improve is the CI tripwire: exit 1 unless TAGE's
+ * aggregate correct rate beats the RLE-2 baseline.
  *
  * Deterministic at any --jobs: every cell is a pure function of one
  * (workload, predictor) pair and results merge in grid order.
@@ -41,10 +41,9 @@ namespace
 {
 
 /** The compared predictors, in column order: the paper's strongest
- * table configs first, then the new geometric/perceptron ones. */
+ * table configs first, then TAGE. */
 const std::vector<std::string> kSpecNames = {
-    "markov1", "rle2", "top4markov1", "last4markov1",
-    "tage",    "perceptron",
+    "markov1", "rle2", "top4markov1", "last4markov1", "tage",
 };
 
 /** Fixed-precision double for bit-identical JSON at any --jobs. */
@@ -98,25 +97,25 @@ confAccuracy(const ChangeOutcomeStats &s)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"json", true,
+        {{"json", cli::Kind::Text,
           "write the sweep as JSON (default fig8_sweep.json; "
           "'-' disables)"},
-         {"check-improve", false,
-          "exit 1 unless the best new predictor's aggregate "
-          "correct rate beats the RLE-2 baseline (CI tripwire)"},
+         {"check-improve", cli::Kind::Flag,
+          "exit 1 unless TAGE's aggregate correct rate beats "
+          "the RLE-2 baseline (CI tripwire)"},
          bench::traceFlag()});
     std::string json_path = args.get("json", "fig8_sweep.json");
 
     bench::banner("Figure 8 sweep",
-                  "TAGE / perceptron vs the paper's tables");
+                  "TAGE vs the paper's tables");
     auto profiles = bench::loadAllProfiles(args);
 
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();
     auto classified =
-        analysis::runGrid(profiles, {ccfg}, args.jobs);
+        analysis::runGrid(profiles, {ccfg}, args.jobs());
     std::vector<std::string> names;
     std::vector<std::vector<PhaseId>> traces;
     for (analysis::ClassificationResult &res : classified) {
@@ -127,23 +126,21 @@ main(int argc, char **argv)
 
     // One cell per (workload, predictor).
     auto cells = analysis::runIndexed(
-        W * P, args.jobs, [&](std::size_t i) {
+        W * P, args.jobs(), [&](std::size_t i) {
             const auto spec =
                 pred::predictorSpecByName(kSpecNames[i % P]);
             return pred::evalChangeOutcome(traces[i / P], *spec);
         });
     auto perfect = analysis::runIndexed(
-        W, args.jobs, [&](std::size_t w) {
+        W, args.jobs(), [&](std::size_t w) {
             return pred::evalPerfectMarkov(traces[w], 1);
         });
 
-    // Confidence sweeps: TAGE entry-confidence threshold and
-    // perceptron margin, aggregated over all workloads per setting.
+    // Confidence sweep: TAGE entry-confidence threshold,
+    // aggregated over all workloads per setting.
     const std::vector<unsigned> tageThresholds = {0, 1, 2, 3};
-    const std::vector<unsigned> percMargins = {0, 2, 4, 8,
-                                               16, 24, 32};
     auto tageSweep = analysis::runIndexed(
-        tageThresholds.size(), args.jobs, [&](std::size_t i) {
+        tageThresholds.size(), args.jobs(), [&](std::size_t i) {
             pred::TagePredictorConfig tcfg;
             tcfg.confThreshold = tageThresholds[i];
             ChangeOutcomeStats agg;
@@ -152,28 +149,17 @@ main(int argc, char **argv)
                     trace, PredictorSpec::tageSpec(tcfg)));
             return agg;
         });
-    auto percSweep = analysis::runIndexed(
-        percMargins.size(), args.jobs, [&](std::size_t i) {
-            pred::PerceptronPredictorConfig pcfg;
-            pcfg.confMargin = percMargins[i];
-            ChangeOutcomeStats agg;
-            for (const auto &trace : traces)
-                agg.merge(pred::evalChangeOutcome(
-                    trace, PredictorSpec::perceptronSpec(pcfg)));
-            return agg;
-        });
 
     // Per-workload table. "best table" is the strongest paper
     // config on that workload; "gap closed" the fraction of its
-    // remaining distance to perfect Markov-1 the best new
-    // predictor recovers.
+    // remaining distance to perfect Markov-1 TAGE recovers.
     std::vector<std::string> headers = {"workload", "changes"};
     for (const std::string &n : kSpecNames)
         headers.push_back(n);
     headers.push_back("perfect M1");
     headers.push_back("gap closed");
     AsciiTable table(headers);
-    ChangeOutcomeStats aggRle2, aggTage, aggPerc;
+    ChangeOutcomeStats aggRle2, aggTage;
     for (std::size_t w = 0; w < W; ++w) {
         auto at = [&](const std::string &n) -> const
             ChangeOutcomeStats & {
@@ -185,19 +171,15 @@ main(int argc, char **argv)
             };
         aggRle2.merge(at("rle2"));
         aggTage.merge(at("tage"));
-        aggPerc.merge(at("perceptron"));
         double bestTable = 0.0;
         for (std::size_t p = 0; p < P; ++p)
-            if (kSpecNames[p] != "tage" &&
-                kSpecNames[p] != "perceptron")
+            if (kSpecNames[p] != "tage")
                 bestTable = std::max(
                     bestTable, cells[w * P + p].correctRate());
-        double bestNew =
-            std::max(at("tage").correctRate(),
-                     at("perceptron").correctRate());
         double gap = perfect[w].coverage() - bestTable;
         double closed =
-            gap > 0.0 ? (bestNew - bestTable) / gap : 0.0;
+            gap > 0.0 ? (at("tage").correctRate() - bestTable) / gap
+                      : 0.0;
         AsciiTable &row = table.row();
         row.cell(names[w]).cell(cells[w * P].changes);
         for (std::size_t p = 0; p < P; ++p)
@@ -218,13 +200,6 @@ main(int argc, char **argv)
             .percentCell(coverage(tageSweep[i]))
             .percentCell(confAccuracy(tageSweep[i]))
             .percentCell(tageSweep[i].correctRate());
-    for (std::size_t i = 0; i < percMargins.size(); ++i)
-        sweep.row()
-            .cell("perceptron")
-            .cell(std::uint64_t(percMargins[i]))
-            .percentCell(coverage(percSweep[i]))
-            .percentCell(confAccuracy(percSweep[i]))
-            .percentCell(percSweep[i].correctRate());
     sweep.print(std::cout);
 
     if (json_path != "-") {
@@ -256,36 +231,21 @@ main(int argc, char **argv)
                << jnum(confAccuracy(tageSweep[i]))
                << ", \"correct_rate\": "
                << jnum(tageSweep[i].correctRate()) << "}";
-        os << "],\n    \"perceptron\": [";
-        for (std::size_t i = 0; i < percMargins.size(); ++i)
-            os << (i ? ", " : "") << "{\"conf_margin\": "
-               << percMargins[i] << ", \"coverage\": "
-               << jnum(coverage(percSweep[i]))
-               << ", \"conf_accuracy\": "
-               << jnum(confAccuracy(percSweep[i]))
-               << ", \"correct_rate\": "
-               << jnum(percSweep[i].correctRate()) << "}";
         os << "]\n  },\n  \"aggregate\": {\"rle2\": ";
         jsonStats(os, aggRle2);
         os << ", \"tage\": ";
         jsonStats(os, aggTage);
-        os << ", \"perceptron\": ";
-        jsonStats(os, aggPerc);
         os << "}\n}\n";
         std::cout << "\nwrote " << json_path << "\n";
     }
 
-    double bestNewAgg = std::max(aggTage.correctRate(),
-                                 aggPerc.correctRate());
-    std::printf("\naggregate: rle2 %.1f%%  tage %.1f%%  "
-                "perceptron %.1f%%\n",
+    std::printf("\naggregate: rle2 %.1f%%  tage %.1f%%\n",
                 100.0 * aggRle2.correctRate(),
-                100.0 * aggTage.correctRate(),
-                100.0 * aggPerc.correctRate());
+                100.0 * aggTage.correctRate());
     if (args.has("check-improve") &&
-        bestNewAgg <= aggRle2.correctRate()) {
-        std::cerr << "FAIL: best new predictor ("
-                  << jnum(bestNewAgg)
+        aggTage.correctRate() <= aggRle2.correctRate()) {
+        std::cerr << "FAIL: TAGE ("
+                  << jnum(aggTage.correctRate())
                   << ") does not beat RLE-2 ("
                   << jnum(aggRle2.correctRate()) << ")\n";
         return 1;

@@ -23,7 +23,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv, {bench::traceFlag()});
     bench::banner("Figure 9",
                   "Run-length classes and phase length prediction");
@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();
-    auto results = analysis::runGrid(profiles, {ccfg}, args.jobs);
+    auto results = analysis::runGrid(profiles, {ccfg}, args.jobs());
 
     AsciiTable dist({"workload", "1-15", "16-127", "128-1023",
                      "1024-", "runs"});

@@ -463,17 +463,17 @@ writeJson(const std::string &path,
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"json", true,
+        {{"json", cli::Kind::Text,
           "write machine-readable results (default "
           "BENCH_throughput.json; '-' disables)"},
-         {"min-time", true,
+         {"min-time", cli::Kind::Real,
           "minimum seconds timed per repeat (default 0.3)"},
-         {"repeats", true,
+         {"repeats", cli::Kind::U32,
           "timed repeats per benchmark, best wins (default 3)"}});
     double min_time = args.getDouble("min-time", 0.3);
-    int repeats = static_cast<int>(args.getU64("repeats", 3));
+    int repeats = static_cast<int>(args.getU32("repeats", 3));
     std::string json_path = args.get("json", "BENCH_throughput.json");
 
     std::cerr << "[micro_throughput] simd level: "

@@ -26,50 +26,25 @@
 
 using namespace tpcp;
 
-namespace
-{
-
-/** Parses a comma-separated list of positive budgets. */
-std::vector<std::size_t>
-parseBudgets(const std::string &csv)
-{
-    std::vector<std::size_t> budgets;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string tok = csv.substr(pos, comma - pos);
-        char *end = nullptr;
-        unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-        if (tok.empty() || *end != '\0' || v == 0) {
-            std::cerr << "error: --budgets expects positive "
-                         "integers, got '" << tok << "'\n";
-            std::exit(2);
-        }
-        budgets.push_back(static_cast<std::size_t>(v));
-        pos = comma + 1;
-    }
-    return budgets;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"budgets", true,
+        {{"budgets", cli::Kind::Text,
           "comma-separated sample budgets (default 8,16,32,64)"},
-         {"phase-source", true,
+         {"phase-source", cli::Kind::Text,
           "phase stream: online | offline (default online)"},
-         {"json", true,
+         {"json", cli::Kind::Text,
           "write SampleReport JSON (default samp_error.json; "
           "'-' disables)"},
          bench::traceFlag()});
-    std::vector<std::size_t> budgets =
-        parseBudgets(args.get("budgets", "8,16,32,64"));
+    const std::vector<std::uint64_t> budgets = bench::csvValues(
+        args, "budgets", "8,16,32,64", "positive integers",
+        [](std::string_view s) {
+            auto v = cli::parseUnsigned(s, SIZE_MAX);
+            return v == 0u ? std::nullopt : v;
+        });
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
     std::string json_path = args.get("json", "samp_error.json");
@@ -84,7 +59,7 @@ main(int argc, char **argv)
     // One parallel cell per workload: classify once, then sweep
     // selector x budget serially inside the cell.
     auto per_workload = analysis::runIndexed(
-        profiles.size(), args.jobs, [&](std::size_t w) {
+        profiles.size(), args.jobs(), [&](std::size_t w) {
             const trace::IntervalProfile &profile =
                 profiles[w].second;
             std::vector<PhaseId> phases =

@@ -134,27 +134,24 @@ runPoint(unsigned tenants, unsigned producers,
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::ParsedArgs args = bench::parseArgs(
         argc, argv,
-        {{"tenants", true, "largest sweep point (default 1024)"},
-         {"packets", true,
+        {{"tenants", cli::Kind::U32, "largest sweep point (default 1024)"},
+         {"packets", cli::Kind::U64,
           "packets per tenant stream (default 200)"},
-         {"producers", true,
+         {"producers", cli::Kind::U32,
           "producer rings/threads (default 2)"},
-         {"streams", true,
+         {"streams", cli::Kind::U32,
           "distinct synthetic streams (default 4)"},
-         {"min-rate", true,
+         {"min-rate", cli::Kind::Real,
           "fail if the largest point delivers fewer packets/s"},
-         {"json", true, "write the sweep as JSON"},
+         {"json", cli::Kind::Text, "write the sweep as JSON"},
          bench::traceFlag()});
 
-    const unsigned max_tenants =
-        static_cast<unsigned>(args.getU64("tenants", 1024));
+    const unsigned max_tenants = args.getU32("tenants", 1024);
     std::uint64_t packets = args.getU64("packets", 200);
-    const unsigned producers =
-        static_cast<unsigned>(args.getU64("producers", 2));
-    const unsigned num_streams =
-        static_cast<unsigned>(args.getU64("streams", 4));
+    const unsigned producers = args.getU32("producers", 2);
+    const unsigned num_streams = args.getU32("streams", 4);
 
     pred::PhaseTrackerConfig tcfg;
     std::vector<serve::EncodedStream> streams;

@@ -47,8 +47,8 @@ struct ControllerOptions
      * every phase-change switch reactive. */
     bool anticipate = true;
     /** Which phase-change predictor feeds the anticipatory
-     * switches (the paper's RLE-2 by default; the greedy-tage and
-     * greedy-perceptron presets swap in the new families). */
+     * switches (the paper's RLE-2 by default; the greedy-tage
+     * preset swaps in TAGE). */
     pred::PredictorSpec changePredictor;
     /** Skip reactive switches while the run-length predictor calls
      * the new run short (class 0: < 16 intervals): a brief run does

@@ -38,22 +38,15 @@ policyPresetByName(const std::string &name)
             pred::PredictorSpec::tageSpec(tcfg);
         return preset;
     }
-    if (name == "greedy-perceptron") {
-        preset.options.changePredictor =
-            pred::PredictorSpec::perceptronSpec();
-        return preset;
-    }
     tpcp_raise("unknown adapt policy '", name,
-               "' (expected greedy | greedy-nopred | greedy-tage | "
-               "greedy-perceptron)");
+               "' (expected greedy | greedy-nopred | greedy-tage)");
 }
 
 const std::vector<std::string> &
 policyPresetNames()
 {
     static const std::vector<std::string> names = {
-        "greedy", "greedy-nopred", "greedy-tage",
-        "greedy-perceptron"};
+        "greedy", "greedy-nopred", "greedy-tage"};
     return names;
 }
 

@@ -9,7 +9,9 @@
 #define TPCP_COMMON_BITOPS_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -78,6 +80,29 @@ mix64(std::uint64_t x)
     x *= 0x94d049bb133111ebULL;
     x ^= x >> 31;
     return x;
+}
+
+/**
+ * Byte-wise 64-bit FNV-1a. Stable across platforms and runs (unlike
+ * std::hash): it keys the trace cache and derives the workload,
+ * sampling and named-Rng seeds, so its values are pinned by tests.
+ */
+inline std::uint64_t
+fnv1a64(const void *data, std::size_t size)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+inline std::uint64_t
+fnv1a64(std::string_view s)
+{
+    return fnv1a64(s.data(), s.size());
 }
 
 /** Hashes @p x into a bucket index in [0, buckets); buckets > 0. */

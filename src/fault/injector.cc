@@ -48,8 +48,11 @@ targetByName(const std::string &name)
     for (unsigned i = 0; i < std::size(kTargetNames); ++i)
         if (name == kTargetNames[i])
             return static_cast<Target>(i);
-    tpcp_raise("unknown fault target '", name,
-               "' (run with --target help for the list)");
+    std::string known;
+    for (const char *n : kTargetNames)
+        known += known.empty() ? n : std::string(", ") + n;
+    tpcp_raise("unknown fault target '", name, "' (known: ", known,
+               ")");
 }
 
 const std::vector<std::string> &

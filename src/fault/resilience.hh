@@ -37,7 +37,7 @@ struct ResilienceOptions
 {
     InjectorConfig injector;
     /** Phase-change predictor under fault (the paper's RLE-2 by
-     * default; "tage"/"perceptron" exercise the new families). */
+     * default; "tage" exercises the geometric-history family). */
     pred::PredictorSpec changePredictor;
     /** Accumulator dimension config replayed from the profile. */
     unsigned dims = 16;

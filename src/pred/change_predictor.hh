@@ -100,10 +100,6 @@ struct ChangePrediction
     PhaseId primary = invalidPhaseId;
     /** All acceptable outcomes (Last4/Top4 views list up to 4). */
     std::vector<PhaseId> candidates;
-    /** Analog confidence of the primary outcome for predictors that
-     * produce one (the perceptron's score margin); 0 otherwise. The
-     * boolean `confident` is this thresholded. */
-    double analog = 0.0;
 
     /** True when @p actual matches any acceptable outcome. */
     bool

@@ -93,7 +93,7 @@ NextPhaseStats evalNextPhase(
     const LastValueConfig &lv_cfg = {});
 
 /** Spec-driven variant covering every predictor family (Markov/RLE
- * tables, TAGE, perceptron). */
+ * tables, TAGE). */
 NextPhaseStats evalNextPhase(const std::vector<PhaseId> &trace,
                              const PredictorSpec &spec,
                              const LastValueConfig &lv_cfg = {});

@@ -63,7 +63,7 @@ struct NextPhasePrediction
 /**
  * Next-interval phase predictor: optional change table over a
  * last-value base. Works with any PhaseChangePredictor — the
- * Markov/RLE tables, TAGE or the perceptron.
+ * Markov/RLE tables or TAGE.
  */
 class NextPhasePredictor
 {

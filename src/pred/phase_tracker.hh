@@ -33,8 +33,8 @@ struct PhaseTrackerConfig
     phase::ClassifierConfig classifier =
         phase::ClassifierConfig::paperDefault();
     /** Phase-change predictor (default: the paper's RLE-2 table,
-     * 32 entry 4-way, 1-bit confidence; any PredictorSpec — TAGE,
-     * perceptron — plugs in here). */
+     * 32 entry 4-way, 1-bit confidence; any PredictorSpec, such as
+     * TAGE, plugs in here). */
     PredictorSpec changeTable =
         PredictorSpec::tableSpec(ChangePredictorConfig::rle(2));
     LastValueConfig lastValue;

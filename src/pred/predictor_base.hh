@@ -3,9 +3,8 @@
  * The abstract phase-change-predictor contract.
  *
  * Every phase-change predictor — the paper's Markov/RLE tables
- * (ChangePredictor), the geometric-history TAGE predictor
- * (TagePredictor) and the perceptron predictor
- * (PerceptronPredictor) — consumes the same phase-ID interval
+ * (ChangePredictor) and the geometric-history TAGE predictor
+ * (TagePredictor) — consumes the same phase-ID interval
  * stream through observe() and answers predict() with a
  * ChangePrediction. The composite NextPhasePredictor, the offline
  * eval drivers, the fault injector and the checkpoint serializer

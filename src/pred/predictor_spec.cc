@@ -11,8 +11,6 @@ PredictorSpec::displayName() const
     switch (kind) {
       case PredictorKind::Tage:
         return tage.name;
-      case PredictorKind::Perceptron:
-        return perceptron.name;
       case PredictorKind::Table:
       default:
         return table.name;
@@ -25,8 +23,6 @@ PredictorSpec::make() const
     switch (kind) {
       case PredictorKind::Tage:
         return std::make_unique<TagePredictor>(tage);
-      case PredictorKind::Perceptron:
-        return std::make_unique<PerceptronPredictor>(perceptron);
       case PredictorKind::Table:
       default:
         return std::make_unique<ChangePredictor>(table);
@@ -39,7 +35,7 @@ predictorSpecNames()
     static const std::vector<std::string> names = {
         "lastvalue",    "markov1",     "markov2",
         "rle1",         "rle2",        "top4markov1",
-        "last4markov1", "tage",        "perceptron",
+        "last4markov1", "tage",
     };
     return names;
 }
@@ -69,8 +65,6 @@ predictorSpecByName(const std::string &name)
             ChangePredictorConfig::markov(1, PayloadView::Last4));
     if (name == "tage")
         return PredictorSpec::tageSpec();
-    if (name == "perceptron")
-        return PredictorSpec::perceptronSpec();
 
     std::string known;
     for (const std::string &n : predictorSpecNames())

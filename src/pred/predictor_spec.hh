@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "pred/change_predictor.hh"
-#include "pred/perceptron_predictor.hh"
 #include "pred/predictor_base.hh"
 #include "pred/tage_predictor.hh"
 
@@ -27,9 +26,8 @@ namespace tpcp::pred
 /** Which predictor family a spec instantiates. */
 enum class PredictorKind
 {
-    Table,      ///< the paper's Markov/RLE tables
-    Tage,       ///< geometric-history tagged tables
-    Perceptron, ///< hashed perceptron
+    Table, ///< the paper's Markov/RLE tables
+    Tage,  ///< geometric-history tagged tables
 };
 
 /** A constructible description of one phase-change predictor. */
@@ -38,7 +36,6 @@ struct PredictorSpec
     PredictorKind kind = PredictorKind::Table;
     ChangePredictorConfig table = ChangePredictorConfig::rle(2);
     TagePredictorConfig tage;
-    PerceptronPredictorConfig perceptron;
 
     /** The active family's display name. */
     const std::string &displayName() const;
@@ -63,20 +60,11 @@ struct PredictorSpec
         s.tage = cfg;
         return s;
     }
-
-    static PredictorSpec
-    perceptronSpec(const PerceptronPredictorConfig &cfg = {})
-    {
-        PredictorSpec s;
-        s.kind = PredictorKind::Perceptron;
-        s.perceptron = cfg;
-        return s;
-    }
 };
 
 /**
  * Looks a spec up by CLI name ("markov1", "rle2", "last4markov1",
- * "tage", "perceptron", ...). Returns nullopt for "lastvalue" (no
+ * "tage", ...). Returns nullopt for "lastvalue" (no
  * change predictor at all) and raises tpcp::Error on an unknown
  * name, listing the valid ones.
  */

@@ -308,7 +308,6 @@ TagePredictor::ownPrediction(bool *alarm_out) const
     out.confident =
         cfg.confThreshold == 0 ||
         (alarm && (!rle || assistVote.value() >= 8));
-    out.analog = static_cast<double>(conf);
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/bitops.hh"
 #include "sample/estimator.hh"
 #include "sample/planner.hh"
 
@@ -172,7 +173,7 @@ runSampledSimulation(const trace::IntervalProfile &profile,
                      PhaseSource source, std::size_t budget)
 {
     SelectorContext ctx{profile, phases,
-                        stableHash(profile.workload()), 16};
+                        fnv1a64(profile.workload()), 16};
     std::unique_ptr<Selector> sel = makeSelector(selector);
 
     SampleReport r;

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "common/bitops.hh"
 #include "common/state_io.hh"
 #include "common/status.hh"
 
@@ -124,18 +125,6 @@ recordPayloadBytes(const std::vector<unsigned> &dims)
 }
 
 } // namespace
-
-std::uint64_t
-fnv1a64(const void *data, std::size_t size)
-{
-    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::vector<std::uint8_t>
 encodeTrace(const IntervalProfile &profile, const std::string &source)

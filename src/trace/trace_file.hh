@@ -78,9 +78,6 @@ struct TraceData
     std::uint64_t contentHash = 0;
 };
 
-/** FNV-1a 64-bit hash of a byte range. */
-std::uint64_t fnv1a64(const void *data, std::size_t size);
-
 /**
  * Serializes @p profile (plus the provenance note) into the trace
  * byte format. Deterministic: the same profile and source always

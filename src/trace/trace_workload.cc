@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/bitops.hh"
 #include "common/status.hh"
 
 namespace tpcp::trace

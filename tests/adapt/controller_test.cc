@@ -195,10 +195,6 @@ TEST(AdaptReport, PresetsAreNamedAndValidated)
     PolicyPreset tage = policyPresetByName("greedy-tage");
     EXPECT_NE(tage.options.changePredictor.make(), nullptr);
     EXPECT_EQ(tage.options.changePredictor.make()->name(), "TAGE");
-    PolicyPreset perc = policyPresetByName("greedy-perceptron");
-    EXPECT_NE(perc.options.changePredictor.make(), nullptr);
-    EXPECT_EQ(perc.options.changePredictor.make()->name(),
-              "Perceptron");
     EXPECT_THROW((void)policyPresetByName("nosuch"), tpcp::Error);
-    EXPECT_EQ(policyPresetNames().size(), 4u);
+    EXPECT_EQ(policyPresetNames().size(), 3u);
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Unit tests for the TAGE-style and perceptron phase-change
- * predictors added on top of the paper's Markov/RLE stack:
- * checkpoint round-trips (byte-identical re-save, identical
- * continued predictions), snapshot geometry/truncation rejection,
- * fault injection in both the mitigated and unmitigated models, the
- * table-geometry validation shared with the paper predictors, the
- * no-training end-of-trace flush of the run-length predictor, and
- * the constant-phase (zero-change) regression for every registered
+ * Unit tests for the TAGE-style phase-change predictor added on top
+ * of the paper's Markov/RLE stack: checkpoint round-trips
+ * (byte-identical re-save, identical continued predictions),
+ * snapshot geometry/truncation rejection, fault injection in both
+ * the mitigated and unmitigated models, the table-geometry
+ * validation shared with the paper predictors, the no-training
+ * end-of-trace flush of the run-length predictor, and the
+ * constant-phase (zero-change) regression for every registered
  * predictor spec.
  */
 
@@ -22,7 +22,6 @@
 #include "pred/change_predictor.hh"
 #include "pred/eval.hh"
 #include "pred/length_predictor.hh"
-#include "pred/perceptron_predictor.hh"
 #include "pred/predictor_spec.hh"
 #include "pred/tage_predictor.hh"
 
@@ -32,9 +31,9 @@ using namespace tpcp::pred;
 namespace
 {
 
-/** A phase trace with enough recurring structure that both new
- * predictors allocate/train real state: three interleaved run
- * patterns, repeated. */
+/** A phase trace with enough recurring structure that TAGE
+ * allocates/trains real state: three interleaved run patterns,
+ * repeated. */
 std::vector<PhaseId>
 patternedTrace(int repetitions)
 {
@@ -67,9 +66,9 @@ snapshot(const PhaseChangePredictor &p)
 /** Saves @p trained, restores into @p fresh, then drives both
  * through @p tail asserting identical predictions and outcomes at
  * every step, and finally that both re-save to identical bytes. */
-template <typename Predictor>
 void
-expectRoundTripEquivalent(Predictor &trained, Predictor &fresh,
+expectRoundTripEquivalent(TagePredictor &trained,
+                          TagePredictor &fresh,
                           const std::vector<PhaseId> &tail)
 {
     std::vector<std::uint8_t> bytes = snapshot(trained);
@@ -108,13 +107,6 @@ TEST(TagePredictor, CheckpointRoundTripIsByteIdentical)
     expectRoundTripEquivalent(trained, fresh, patternedTrace(3));
 }
 
-TEST(PerceptronPredictor, CheckpointRoundTripIsByteIdentical)
-{
-    PerceptronPredictor trained, fresh;
-    feed(trained, patternedTrace(6));
-    expectRoundTripEquivalent(trained, fresh, patternedTrace(3));
-}
-
 TEST(TagePredictor, UnprimedCheckpointRoundTrips)
 {
     TagePredictor trained, fresh;
@@ -142,19 +134,6 @@ TEST(TagePredictor, LoadRejectsGeometryMismatch)
     EXPECT_THROW(shallower.loadState(r2), tpcp::Error);
 }
 
-TEST(PerceptronPredictor, LoadRejectsGeometryMismatch)
-{
-    PerceptronPredictor trained;
-    feed(trained, patternedTrace(4));
-    std::vector<std::uint8_t> bytes = snapshot(trained);
-
-    PerceptronPredictorConfig narrow;
-    narrow.weightRows = 256;
-    PerceptronPredictor other(narrow);
-    StateReader r(bytes);
-    EXPECT_THROW(other.loadState(r), tpcp::Error);
-}
-
 TEST(TagePredictor, LoadRejectsTruncatedSnapshot)
 {
     TagePredictor trained;
@@ -171,20 +150,6 @@ TEST(TagePredictor, LoadRejectsTruncatedSnapshot)
     }
 }
 
-TEST(PerceptronPredictor, LoadRejectsTruncatedSnapshot)
-{
-    PerceptronPredictor trained;
-    feed(trained, patternedTrace(4));
-    std::vector<std::uint8_t> bytes = snapshot(trained);
-    for (std::size_t keep :
-         {bytes.size() - 1, bytes.size() / 2, std::size_t(3)}) {
-        PerceptronPredictor fresh;
-        StateReader r(bytes.data(), keep);
-        EXPECT_THROW(fresh.loadState(r), tpcp::Error)
-            << "truncated to " << keep << " bytes";
-    }
-}
-
 // --- Fault injection --------------------------------------------
 
 TEST(TagePredictor, InjectFaultNeedsLiveEntries)
@@ -195,15 +160,6 @@ TEST(TagePredictor, InjectFaultNeedsLiveEntries)
     EXPECT_FALSE(p.injectFault(rng, false));
     EXPECT_FALSE(p.injectFault(rng, true));
 
-    feed(p, patternedTrace(4));
-    EXPECT_TRUE(p.injectFault(rng, false));
-    EXPECT_TRUE(p.injectFault(rng, true));
-}
-
-TEST(PerceptronPredictor, InjectFaultBothModels)
-{
-    PerceptronPredictor p;
-    Rng rng(99);
     feed(p, patternedTrace(4));
     EXPECT_TRUE(p.injectFault(rng, false));
     EXPECT_TRUE(p.injectFault(rng, true));

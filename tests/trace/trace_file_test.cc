@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/status.hh"
 #include "trace/trace_file.hh"
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/status.hh"
 #include "trace/trace_file.hh"
 #include "workload/adversarial.hh"
@@ -144,7 +145,7 @@ TEST(AdversarialCorpus, SeedFilesHaveNotDrifted)
         std::vector<std::uint8_t> ondisk =
             trace::encodeTrace(checked.profile, checked.source);
         EXPECT_EQ(regen, ondisk) << family;
-        EXPECT_EQ(trace::fnv1a64(regen.data(), regen.size()),
+        EXPECT_EQ(fnv1a64(regen.data(), regen.size()),
                   checked.contentHash)
             << family;
     }

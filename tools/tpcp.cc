@@ -2,164 +2,16 @@
  * @file
  * tpcp - command-line front end to the library.
  *
- * Subcommands:
- *   workloads                       list the built-in workloads
- *   machine                         print the Table-1 machine model
- *   profile  <workload> [opts]     simulate/load a profile, summarize
- *   classify <workload> [opts]     classify and print phase metrics
- *   predict  <workload> [opts]     next-phase / change prediction
- *   export   <workload> [opts]     per-interval CSV for plotting
- *   simstats <workload> [opts]     run the simulator, dump uarch stats
- *   sample   [workloads...] [opts] phase-guided sampled simulation
- *   adapt    [workloads...] [opts] phase-guided dynamic reconfiguration
- *   faults   [workloads...] [opts] soft-error resilience measurement
- *   trace    <verb> [opts]         .tpcptrace ingest/export tooling
+ * Each command declares its operands and flags once, in the command
+ * table at the end of this file. `tpcp` alone lists the commands,
+ * `tpcp <command> --help` one command's options. Flags go through
+ * the strict common/cli.hh parser, shared with the bench harnesses:
+ * an unknown flag or a malformed value exits 2 and lists the valid
+ * options.
  *
- * Common options:
- *   --interval N     instructions per interval   (default 100000)
- *   --core NAME      'ooo' or 'simple'           (default ooo)
- *   --jobs N         worker threads for 'profile all'
- *                    (0 = one per hardware thread; default 0)
- *   --trace F[,F...] analyze ingested .tpcptrace files instead of
- *                    named workloads (profile/classify/predict/
- *                    export take one file; sample/adapt/faults/serve
- *                    take a comma-separated list; adapt replays
- *                    recorded CPI, so its lattice differs in energy
- *                    only)
- *
- * Trace verbs (tpcp trace <verb>):
- *   export <workload> --out=P     export a profile as a .tpcptrace
- *          [--source=S]           (with --trace=IN: re-export the
- *                                 ingested trace byte-identically)
- *   info <file>                   print the validated trace header
- *                                 and content hash
- *   gen --out=P [--family=F]      generate an adversarial stressor
- *       [--seed=N] [--intervals=N] stream (see 'tpcp trace gen
- *       [--interval=N]            --family=help' for families)
- *   corpus <dir>                  write the deterministic corruption
- *                                 corpus + MANIFEST used by the
- *                                 trace-hardening CI job
- *
- * 'profile all' builds/loads every workload profile (in parallel
- * with --jobs) and prints a one-line summary per workload; use it to
- * warm a shared $TPCP_PROFILE_DIR before a figure-suite run. A
- * workload whose profile cannot be produced (e.g. a corrupt cache
- * file under --require-cache) is skipped and reported in a
- * per-workload error summary at the end; the exit code is 3 when
- * some-but-not-all workloads failed.
- * Profile options:
- *   --require-cache  fail a workload instead of re-simulating when
- *                    its cache file is missing/corrupt/mismatched
- * Classify options:
- *   --threshold X    similarity threshold        (default 0.25)
- *   --min N          transition min count        (default 8)
- *   --entries N      signature table entries     (default 32)
- *   --dims N         accumulator counters        (default 16)
- *   --static-thresh  disable adaptive thresholds
- *   --timeline       print the phase timeline
- * Predict options:
- *   --predictor P    lastvalue | markov1 | markov2 | rle1 | rle2 |
- *                    top4markov1 | last4markov1 | tage |
- *                    perceptron                  (default rle2)
- * Export options:
- *   --out PATH       output CSV file             (default stdout)
- * Simstats options:
- *   --max-insts N    stop after N instructions   (default: full run)
- * Sample options (no workloads named = all 11, in parallel):
- *   --budget N       detailed intervals per workload (default 16)
- *   --selector S     first | centroid | stratified | uniform |
- *                    random                      (default stratified)
- *   --phase-source P online | offline            (default online)
- *   --json PATH      write SampleReport records as JSON
- *                    ('-' disables)
- *   --max-error X    exit 1 if any CPI estimate is off by more
- *                    than fraction X (CI tripwire)
- * Adapt options (no workloads named = all 11, in parallel; the core
- * defaults to 'simple' since each lattice point is a full sim):
- *   --policy P       greedy | greedy-nopred | greedy-tage |
- *                    greedy-perceptron           (default greedy)
- *   --lattice L      standard | small            (default standard)
- *   --json PATH      write AdaptReport records as JSON
- *                    ('-' disables)
- *   --min-oracle X   exit 1 if any workload's greedy policy reaches
- *                    less than fraction X of the oracle's EDP
- *                    savings (CI tripwire)
- * Faults options (no workloads named = all 11, in parallel):
- *   --target T       accum | signature | metadata | change-table |
- *                    length-table | input | all   (default all)
- *   --predictor P    change predictor under fault: markov1 | rle2 |
- *                    last4markov1 | tage | perceptron | ...
- *                    (default rle2)
- *   --rate X         per-interval fault probability (default 0.01)
- *   --mitigated      enable the hardening model (parity-protected
- *                    signature table with scrubbing and repair, ECC
- *                    detect-and-contain predictor tables, CPI
- *                    plausibility gate)
- *   --seed N         fault campaign seed
- *   --scrub-every N  mitigated scrub period in intervals (default 1)
- *   --adapt          also measure the adapt-layer oracle-fraction
- *                    delta (simulates the lattice; prefer
- *                    --core simple)
- *   --json PATH      write ResilienceReport records as JSON
- *                    ('-' disables)
- *   --min-agreement X  exit 1 if any workload's phase-ID agreement
- *                    falls below fraction X (CI tripwire)
- *   --checkpoint PATH  checkpoint file (single workload only)
- *   --checkpoint-at K  save the checkpoint and stop after K intervals
- *   --resume         resume the faulty run from --checkpoint
- * Serve options (streaming multi-tenant phase service; named
- * workloads become the replayed interval streams, none = synthetic):
- *   --tenants N      concurrent tenants           (default 8)
- *   --producers P    producer rings/threads       (default 1)
- *   --packets N      packets per tenant stream (cap for profile
- *                    streams, length for synthetic; default 2000,
- *                    0 = full profile)
- *   --streams K      distinct synthetic streams   (default 4)
- *   --resident N     resident tenants per partition (0 = fit all
- *                    assigned tenants; default 0)
- *   --evict-after N  evict a tenant idle for N delivered packets
- *                    (default 0 = no idle eviction)
- *   --checkpoint-dir D  eviction checkpoint directory
- *                    (default serve_ckpt)
- *   --ring-bytes B   per-producer ring capacity   (default 1 MiB)
- *   --drop           drop packets on a full ring (counted, visible
- *                    as sequence gaps) instead of parking
- *   --park-retries N park retry budget per push; when exhausted the
- *                    push escalates to a counted drop (default 0 =
- *                    park forever, lossless)
- *   --rate-limit R   per-tenant token-bucket refill, packets per
- *                    drain cycle (default 0 = unlimited)
- *   --burst B        token-bucket capacity (default 0 = rate-limit)
- *   --drr-quantum Q  deficit-round-robin quantum, packets
- *                    (default 16)
- *   --max-backlog N  staged frames per tenant before arrivals are
- *                    shed, counted (default 0 = unbounded)
- *   --cycle-budget N frames delivered per partition per drain cycle
- *                    (default 0 = drain batch)
- *   --quarantine-threshold N  offenses (duplicate seq, malformed,
- *                    shed, resume failure) within one window that
- *                    quarantine a tenant (default 0 = disabled)
- *   --quarantine-window W     offense window, packets seen
- *                    (default 1024)
- *   --quarantine-backoff B    first quarantine length, packets seen;
- *                    doubles per re-quarantine (default 256)
- *   --quarantine-backoff-cap C  backoff ceiling (default 1 Mi)
- *   --migrate-out DIR  after the run, evict every tenant and write a
- *                    crash-consistent migration bundle
- *   --migrate-in DIR before the run, validate the bundle and adopt
- *                    its tenants (damaged bundles are rejected with
- *                    exit 1, nothing partially applied)
- *   --packet-base K  start replaying each stream at interval K
- *                    (sequence numbers stay absolute: the handoff
- *                    half of a migration identity check)
- *   --phase-out DIR  record per-tenant phase-ID streams and write
- *                    one tenant_<id>.phases file per tenant
- *   --batch          with --phase-out: write the batch-reference
- *                    streams instead of running the service (CI
- *                    diffs the two directories byte-for-byte)
- *   --json PATH      write the ServeReport as JSON ('-' disables)
- *   --min-rate R     exit 1 if delivered packets/s fall below R
- *                    (CI tripwire)
+ * Exit codes: 0 success, 1 runtime failure or tripped CI limit,
+ * 2 usage error, 3 `profile all` with some (not all) workloads
+ * failed.
  */
 
 #include <algorithm>
@@ -168,8 +20,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -181,6 +34,7 @@
 #include "analysis/parallel_runner.hh"
 #include "fault/resilience.hh"
 #include "common/ascii_table.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/running_stats.hh"
 #include "common/status.hh"
@@ -200,102 +54,122 @@
 #include "workload/workload.hh"
 
 using namespace tpcp;
+using cli::FlagSpec;
+using cli::Kind;
+using cli::ParsedArgs;
 
 namespace
 {
 
-/** Minimal flag parser: --key value and --key style flags. */
-class Args
+using Flags = std::vector<FlagSpec>;
+
+/** Concatenates flag groups into one command's flag list. */
+Flags
+join(std::initializer_list<Flags> groups)
 {
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                std::string key = arg.substr(2);
-                if (auto eq = key.find('=');
-                    eq != std::string::npos) {
-                    kv[key.substr(0, eq)] = key.substr(eq + 1);
-                } else if (i + 1 < argc &&
-                           std::string(argv[i + 1]).rfind("--", 0) !=
-                               0) {
-                    kv[key] = argv[++i];
-                } else {
-                    kv[key] = "";
-                }
-            } else {
-                positional.push_back(arg);
-            }
-        }
-    }
+    Flags out;
+    for (const Flags &g : groups)
+        out.insert(out.end(), g.begin(), g.end());
+    return out;
+}
 
-    bool has(const std::string &key) const { return kv.count(key); }
-
-    std::string
-    get(const std::string &key, const std::string &dflt) const
-    {
-        auto it = kv.find(key);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    getU64(const std::string &key, std::uint64_t dflt) const
-    {
-        auto it = kv.find(key);
-        return it == kv.end()
-                   ? dflt
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
-    }
-
-    double
-    getDouble(const std::string &key, double dflt) const
-    {
-        auto it = kv.find(key);
-        return it == kv.end()
-                   ? dflt
-                   : std::strtod(it->second.c_str(), nullptr);
-    }
-
-    std::vector<std::string> positional;
-
-  private:
-    std::map<std::string, std::string> kv;
-};
-
-int
-usage()
+/** "a | b | c" for a flag's help line. */
+std::string
+oneOf(const std::vector<std::string> &names)
 {
-    std::cerr
-        << "usage: tpcp <command> [args]\n"
-           "  workloads | machine | profile <wl> | classify <wl> |\n"
-           "  predict <wl> | export <wl> | sample [wl...] |\n"
-           "  adapt [wl...] | faults [wl...] | serve [wl...] |\n"
-           "  trace <export|info|gen|corpus>\n"
-           "most commands also take --trace=FILE[,FILE...] to run\n"
-           "on ingested .tpcptrace files instead of workloads\n"
-           "see the header of tools/tpcp.cc for all options\n";
-    return 2;
+    std::string out;
+    for (const std::string &n : names)
+        out += (out.empty() ? "" : " | ") + n;
+    return out;
+}
+
+/** How a workload's profile is built or loaded. */
+Flags
+profileFlags()
+{
+    return {{"interval", Kind::U64,
+             "instructions per interval (default 100000)"},
+            {"core", Kind::Text,
+             "timing core: ooo | simple (default ooo; adapt: simple)"},
+            {"require-cache", Kind::Flag,
+             "fail a workload instead of re-simulating when its "
+             "cache file is missing, corrupt or mismatched"}};
+}
+
+/** The online classifier's parameters. */
+Flags
+classifierFlags()
+{
+    return {{"threshold", Kind::Real,
+             "similarity threshold (default 0.25)"},
+            {"min", Kind::U32, "transition min count (default 8)"},
+            {"entries", Kind::U32,
+             "signature table entries (default 32)"},
+            {"dims", Kind::U32, "accumulator counters (default 16)"},
+            {"static-thresh", Kind::Flag,
+             "disable adaptive thresholds"}};
+}
+
+/** --trace: ingested .tpcptrace input in place of named workloads;
+ * @p several when the command takes a comma-separated list. */
+FlagSpec
+traceFlag(bool several)
+{
+    return {"trace", Kind::Text,
+            several ? "comma-separated .tpcptrace files to analyze "
+                      "instead of named workloads"
+                    : "a .tpcptrace file to analyze instead of a "
+                      "named workload"};
+}
+
+/** --json: where a command writes its machine-readable report. */
+FlagSpec
+jsonFlag(const std::string &what)
+{
+    return {"json", Kind::Text,
+            "write " + what + " as JSON ('-' disables)"};
+}
+
+/** False, after printing the error, unless @p name is a built-in
+ * workload. */
+bool
+knownWorkload(const std::string &name)
+{
+    if (workload::isWorkloadName(name))
+        return true;
+    std::cerr << "error: unknown workload '" << name
+              << "'; run 'tpcp workloads'\n";
+    return false;
+}
+
+/** The single operand of a command that takes exactly one (@p what
+ * names it); nullopt, after printing the error, otherwise. */
+std::optional<std::string>
+oneOperand(const ParsedArgs &args, const std::string &what)
+{
+    if (args.positional.empty()) {
+        std::cerr << "error: " << what << " is required\n";
+        return std::nullopt;
+    }
+    if (args.positional.size() > 1) {
+        std::cerr << "error: unexpected argument '"
+                  << args.positional[1] << "'\n";
+        return std::nullopt;
+    }
+    return args.positional.front();
 }
 
 std::optional<std::string>
-requireWorkload(const Args &args)
+requireWorkload(const ParsedArgs &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "error: a workload name is required\n";
+    auto name = oneOperand(args, "a workload name");
+    if (name && !knownWorkload(*name))
         return std::nullopt;
-    }
-    const std::string &name = args.positional.front();
-    if (!workload::isWorkloadName(name)) {
-        std::cerr << "error: unknown workload '" << name
-                  << "'; run 'tpcp workloads'\n";
-        return std::nullopt;
-    }
     return name;
 }
 
 trace::ProfileOptions
-profileOptions(const Args &args)
+profileOptions(const ParsedArgs &args)
 {
     trace::ProfileOptions opts;
     opts.intervalLen = args.getU64("interval", 100'000);
@@ -311,7 +185,7 @@ profileOptions(const Args &args)
  * otherwise. nullopt (after printing the error) on bad usage.
  */
 std::optional<trace::IntervalProfile>
-inputProfile(const Args &args)
+inputProfile(const ParsedArgs &args)
 {
     if (args.has("trace")) {
         if (!args.positional.empty()) {
@@ -328,55 +202,105 @@ inputProfile(const Args &args)
 }
 
 /**
- * Expands --trace for the multi-workload commands: loads every
- * listed trace, appending (name, profile) in argument order. The
- * commands keep their workload-name path when --trace is absent.
- * False (after printing the error) when --trace is combined with
- * positional workload names.
+ * The inputs of a multi-workload command: every --trace file
+ * (name, profile) in argument order when --trace is given, else the
+ * named workloads, else — when @p all_by_default — all 11. False
+ * (after printing the error) on an unknown workload name or --trace
+ * combined with names.
  */
 bool
-loadTraceInputs(const Args &args, std::vector<std::string> &names,
-                std::vector<trace::IntervalProfile> &profiles)
+workloadInputs(const ParsedArgs &args, bool all_by_default,
+               std::vector<std::string> &names,
+               std::vector<trace::IntervalProfile> &traced)
 {
-    if (!args.has("trace"))
+    names = args.positional;
+    if (args.has("trace")) {
+        if (!names.empty()) {
+            std::cerr << "error: --trace and workload names are "
+                         "mutually exclusive\n";
+            return false;
+        }
+        for (auto &[name, profile] :
+             trace::loadTraceProfiles(args.get("trace", ""))) {
+            names.push_back(name);
+            traced.push_back(std::move(profile));
+        }
+        if (names.empty()) {
+            std::cerr << "error: --trace expects at least one "
+                         ".tpcptrace path\n";
+            return false;
+        }
         return true;
-    if (!names.empty()) {
-        std::cerr << "error: --trace and workload names are "
-                     "mutually exclusive\n";
-        return false;
     }
-    for (auto &[name, profile] :
-         trace::loadTraceProfiles(args.get("trace", ""))) {
-        names.push_back(name);
-        profiles.push_back(std::move(profile));
-    }
-    if (names.empty()) {
-        std::cerr << "error: --trace expects at least one "
-                     ".tpcptrace path\n";
-        return false;
-    }
+    for (const std::string &name : names)
+        if (!knownWorkload(name))
+            return false;
+    if (names.empty() && all_by_default)
+        names = workload::workloadNames();
     return true;
 }
 
+/** Writes @p reports to --json with @p write unless the flag is
+ * absent or '-'. False after printing the error. */
+template <typename Reports, typename Write>
+bool
+writeJsonReports(const ParsedArgs &args, const Reports &reports,
+                 Write write)
+{
+    const std::string json = args.get("json", "");
+    if (json.empty() || json == "-")
+        return true;
+    if (!write(json, reports)) {
+        std::cerr << "error: cannot write " << json << "\n";
+        return false;
+    }
+    std::cout << "wrote " << reports.size() << " reports to " << json
+              << "\n";
+    return true;
+}
+
+/**
+ * The CI tripwire behind --@p flag, when given: checks @p value, the
+ * run's @p what, against the flag's limit (an upper bound for a
+ * --max-* flag, a lower bound otherwise), prints the verdict and
+ * returns the exit code, 1 when tripped. Both numbers print times
+ * @p scale followed by @p unit.
+ */
+int
+tripwire(const ParsedArgs &args, const std::string &flag,
+         const std::string &what, double value, double scale,
+         const std::string &unit)
+{
+    if (!args.has(flag))
+        return 0;
+    const double limit = args.getDouble(flag, 0.0);
+    const bool upper = flag.rfind("max-", 0) == 0;
+    const bool ok = upper ? value <= limit : value >= limit;
+    const char *verdict = ok ? (upper ? "within" : "meets")
+                             : (upper ? "exceeds" : "below");
+    (ok ? std::cout : std::cerr)
+        << (ok ? "" : "error: ") << what << " " << value * scale
+        << unit << " " << verdict << " --" << flag << " "
+        << limit * scale << unit << "\n";
+    return ok ? 0 : 1;
+}
+
 phase::ClassifierConfig
-classifierConfig(const Args &args)
+classifierConfig(const ParsedArgs &args)
 {
     phase::ClassifierConfig cfg =
         phase::ClassifierConfig::paperDefault();
     cfg.similarityThreshold = args.getDouble("threshold", 0.25);
-    cfg.minCountThreshold =
-        static_cast<unsigned>(args.getU64("min", 8));
-    cfg.tableEntries =
-        static_cast<unsigned>(args.getU64("entries", 32));
-    cfg.numCounters =
-        static_cast<unsigned>(args.getU64("dims", 16));
+    cfg.minCountThreshold = args.getU32("min", 8);
+    cfg.tableEntries = args.getU32("entries", 32);
+    cfg.numCounters = args.getU32("dims", 16);
     if (args.has("static-thresh"))
         cfg.adaptiveThreshold = false;
     return cfg;
 }
 
 int
-cmdWorkloads()
+cmdWorkloads(const ParsedArgs &)
 {
     AsciiTable table({"name", "regions", "insts(M)", "description"});
     for (const auto &name : workload::workloadNames()) {
@@ -394,17 +318,20 @@ cmdWorkloads()
 }
 
 int
-cmdMachine()
+cmdMachine(const ParsedArgs &)
 {
     std::cout << uarch::MachineConfig::table1().toString();
     return 0;
 }
 
+/** `profile all`: builds or loads every workload profile (in
+ * parallel with --jobs) and prints one summary line per workload;
+ * use it to warm a shared $TPCP_PROFILE_DIR before a figure-suite
+ * run. */
 int
-cmdProfileAll(const Args &args)
+cmdProfileAll(const ParsedArgs &args)
 {
-    unsigned jobs =
-        static_cast<unsigned>(args.getU64("jobs", 0));
+    const unsigned jobs = args.jobs();
     trace::ProfileOptions opts = profileOptions(args);
     const std::vector<std::string> &names =
         workload::workloadNames();
@@ -466,10 +393,9 @@ cmdProfileAll(const Args &args)
 }
 
 int
-cmdProfile(const Args &args)
+cmdProfile(const ParsedArgs &args)
 {
-    if (!args.positional.empty() &&
-        args.positional.front() == "all")
+    if (args.positional == std::vector<std::string>{"all"})
         return cmdProfileAll(args);
     auto loaded = inputProfile(args);
     if (!loaded)
@@ -507,7 +433,7 @@ phaseChar(PhaseId id)
 }
 
 int
-cmdClassify(const Args &args)
+cmdClassify(const ParsedArgs &args)
 {
     auto profile = inputProfile(args);
     if (!profile)
@@ -548,7 +474,7 @@ cmdClassify(const Args &args)
 }
 
 int
-cmdPredict(const Args &args)
+cmdPredict(const ParsedArgs &args)
 {
     auto profile = inputProfile(args);
     if (!profile)
@@ -600,7 +526,7 @@ cmdPredict(const Args &args)
 }
 
 int
-cmdExport(const Args &args)
+cmdExport(const ParsedArgs &args)
 {
     auto profile = inputProfile(args);
     if (!profile)
@@ -633,7 +559,7 @@ cmdExport(const Args &args)
 }
 
 int
-cmdSimStats(const Args &args)
+cmdSimStats(const ParsedArgs &args)
 {
     auto name = requireWorkload(args);
     if (!name)
@@ -664,23 +590,12 @@ cmdSimStats(const Args &args)
 }
 
 int
-cmdSample(const Args &args)
+cmdSample(const ParsedArgs &args)
 {
-    std::vector<std::string> names = args.positional;
+    std::vector<std::string> names;
     std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
+    if (!workloadInputs(args, true, names, traced))
         return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
     auto budget =
         static_cast<std::size_t>(args.getU64("budget", 16));
     if (budget == 0) {
@@ -690,7 +605,7 @@ cmdSample(const Args &args)
     std::string selector = args.get("selector", "stratified");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    const unsigned jobs = args.jobs();
     trace::ProfileOptions opts = profileOptions(args);
 
     std::cerr << "[sample] " << names.size() << " workloads, "
@@ -727,54 +642,26 @@ cmdSample(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!sample::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
-    if (args.has("max-error")) {
-        double limit = args.getDouble("max-error", 0.0);
-        if (worst > limit) {
-            std::cerr << "error: worst CPI error "
-                      << worst * 100.0 << "% exceeds --max-error "
-                      << limit * 100.0 << "%\n";
-            return 1;
-        }
-        std::cout << "worst CPI error " << worst * 100.0
-                  << "% within --max-error " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
+            return sample::writeJson(path, r);
+        }))
+        return 1;
+    return tripwire(args, "max-error", "worst CPI error", worst, 100.0,
+                    "%");
 }
 
 int
-cmdAdapt(const Args &args)
+cmdAdapt(const ParsedArgs &args)
 {
-    std::vector<std::string> names = args.positional;
+    std::vector<std::string> names;
     std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
+    if (!workloadInputs(args, true, names, traced))
         return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
     adapt::PolicyPreset preset =
         adapt::policyPresetByName(args.get("policy", "greedy"));
     adapt::ConfigLattice lattice = adapt::ConfigLattice::byName(
         args.get("lattice", "standard"));
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    const unsigned jobs = args.jobs();
     trace::ProfileOptions opts = profileOptions(args);
     if (!args.has("core"))
         opts.coreName = "simple";
@@ -817,51 +704,21 @@ cmdAdapt(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!adapt::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
-    if (args.has("min-oracle")) {
-        double limit = args.getDouble("min-oracle", 0.0);
-        if (worst_fraction < limit) {
-            std::cerr << "error: worst oracle fraction "
-                      << worst_fraction * 100.0
-                      << "% below --min-oracle " << limit * 100.0
-                      << "%\n";
-            return 1;
-        }
-        std::cout << "worst oracle fraction "
-                  << worst_fraction * 100.0
-                  << "% meets --min-oracle " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
+            return adapt::writeJson(path, r);
+        }))
+        return 1;
+    return tripwire(args, "min-oracle", "worst oracle fraction",
+                    worst_fraction, 100.0, "%");
 }
 
 int
-cmdFaults(const Args &args)
+cmdFaults(const ParsedArgs &args)
 {
-    std::vector<std::string> names = args.positional;
+    std::vector<std::string> names;
     std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
+    if (!workloadInputs(args, true, names, traced))
         return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
 
     fault::ResilienceOptions ropts;
     ropts.injector.target =
@@ -881,8 +738,7 @@ cmdFaults(const Args &args)
     ropts.injector.ratePerInterval = args.getDouble("rate", 0.01);
     ropts.injector.mitigated = args.has("mitigated");
     ropts.injector.seed = args.getU64("seed", 0x5eedfa17);
-    ropts.scrubEvery =
-        static_cast<unsigned>(args.getU64("scrub-every", 1));
+    ropts.scrubEvery = args.getU32("scrub-every", 1);
     ropts.withAdapt = args.has("adapt");
     ropts.adaptLattice = args.get("lattice", "small");
     ropts.checkpointPath = args.get("checkpoint", "");
@@ -895,7 +751,7 @@ cmdFaults(const Args &args)
         return 2;
     }
 
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    const unsigned jobs = args.jobs();
     trace::ProfileOptions opts = profileOptions(args);
 
     std::cerr << "[faults] " << names.size() << " workloads, target="
@@ -941,46 +797,23 @@ cmdFaults(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!fault::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
-    if (args.has("min-agreement")) {
-        double limit = args.getDouble("min-agreement", 0.0);
-        if (worst < limit) {
-            std::cerr << "error: worst phase-ID agreement "
-                      << worst * 100.0 << "% below --min-agreement "
-                      << limit * 100.0 << "%\n";
-            return 1;
-        }
-        std::cout << "worst phase-ID agreement " << worst * 100.0
-                  << "% meets --min-agreement " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
+            return fault::writeJson(path, r);
+        }))
+        return 1;
+    return tripwire(args, "min-agreement", "worst phase-ID agreement",
+                    worst, 100.0, "%");
 }
 
 int
-cmdServe(const Args &args)
+cmdServe(const ParsedArgs &args)
 {
-    const std::vector<std::string> &names = args.positional;
-    for (const std::string &name : names) {
-        if (!workload::isWorkloadName(name)) {
-            std::cerr << "error: unknown workload '" << name
-                      << "'; run 'tpcp workloads'\n";
-            return 2;
-        }
-    }
-    const unsigned tenants =
-        static_cast<unsigned>(args.getU64("tenants", 8));
-    const unsigned producers =
-        static_cast<unsigned>(args.getU64("producers", 1));
+    std::vector<std::string> names;
+    std::vector<trace::IntervalProfile> traced;
+    if (!workloadInputs(args, false, names, traced))
+        return 2;
+    const unsigned tenants = args.getU32("tenants", 8);
+    const unsigned producers = args.getU32("producers", 1);
     if (tenants == 0 || producers == 0) {
         std::cerr << "error: --tenants and --producers must be "
                      ">= 1\n";
@@ -994,24 +827,12 @@ cmdServe(const Args &args)
     // Shared streams: tenant t replays stream t % S, so a tenant's
     // input depends only on its id — never on the producer layout.
     std::vector<serve::EncodedStream> streams;
-    if (args.has("trace")) {
-        if (!names.empty()) {
-            std::cerr << "error: --trace and workload names are "
-                         "mutually exclusive\n";
-            return 2;
-        }
-        for (auto &[name, profile] :
-             trace::loadTraceProfiles(args.get("trace", "")))
+    if (!traced.empty()) {
+        for (const trace::IntervalProfile &profile : traced)
             streams.push_back(serve::encodeProfileStream(
                 profile, ccfg.numCounters, packets));
-        if (streams.empty()) {
-            std::cerr << "error: --trace expects at least one "
-                         ".tpcptrace path\n";
-            return 2;
-        }
     } else if (names.empty()) {
-        const unsigned n =
-            static_cast<unsigned>(args.getU64("streams", 4));
+        const unsigned n = args.getU32("streams", 4);
         const std::uint64_t len = packets == 0 ? 2000 : packets;
         for (unsigned k = 0; k < n; ++k)
             streams.push_back(serve::encodeSyntheticStream(
@@ -1058,7 +879,7 @@ cmdServe(const Args &args)
     serve::ServeOptions sopts;
     sopts.registry.tracker = tcfg;
     sopts.producers = producers;
-    sopts.jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    sopts.jobs = args.jobs();
     sopts.ringBytes = args.getU64("ring-bytes", 1u << 20);
     sopts.fairness.ratePerCycle = args.getU64("rate-limit", 0);
     sopts.fairness.burst = args.getU64("burst", 0);
@@ -1076,8 +897,7 @@ cmdServe(const Args &args)
     // Tenant t is fed by producer t % producers; a tenant never
     // spans rings, so its packet order is total.
     const unsigned per_part = (tenants + producers - 1) / producers;
-    const unsigned resident =
-        static_cast<unsigned>(args.getU64("resident", 0));
+    const unsigned resident = args.getU32("resident", 0);
     sopts.registry.maxResident =
         resident == 0 ? std::max(1u, per_part) : resident;
     sopts.registry.evictAfter = args.getU64("evict-after", 0);
@@ -1228,19 +1048,8 @@ cmdServe(const Args &args)
         }
         std::cout << "wrote report to " << json << "\n";
     }
-    if (args.has("min-rate")) {
-        const double limit = args.getDouble("min-rate", 0.0);
-        if (rep.packetsPerSec < limit) {
-            std::cerr << "error: ingest rate " << rep.packetsPerSec
-                      << " packets/s below --min-rate " << limit
-                      << "\n";
-            return 1;
-        }
-        std::cout << "ingest rate " << rep.packetsPerSec
-                  << " packets/s meets --min-rate " << limit
-                  << "\n";
-    }
-    return 0;
+    return tripwire(args, "min-rate", "ingest rate", rep.packetsPerSec,
+                    1.0, " packets/s");
 }
 
 /** Writes raw bytes to @p path (corpus files are plain writes; the
@@ -1258,7 +1067,7 @@ writeBytes(const std::string &path,
 }
 
 int
-cmdTraceExport(const Args &args)
+cmdTraceExport(const ParsedArgs &args)
 {
     std::string out = args.get("out", "");
     if (out.empty()) {
@@ -1266,6 +1075,11 @@ cmdTraceExport(const Args &args)
         return 2;
     }
     if (args.has("trace")) {
+        if (!args.positional.empty()) {
+            std::cerr << "error: --trace and a workload name are "
+                         "mutually exclusive\n";
+            return 2;
+        }
         // Re-export an ingested trace: a parse -> encode round trip
         // is byte-identical (the CI ingest job cmp's the two files).
         trace::TraceData data =
@@ -1275,10 +1089,7 @@ cmdTraceExport(const Args &args)
                   << " intervals to " << out << "\n";
         return 0;
     }
-    // Positional workload: drop the leading "export" verb.
-    Args rest = args;
-    rest.positional.erase(rest.positional.begin());
-    auto name = requireWorkload(rest);
+    auto name = requireWorkload(args);
     if (!name)
         return 2;
     trace::IntervalProfile profile =
@@ -1292,14 +1103,12 @@ cmdTraceExport(const Args &args)
 }
 
 int
-cmdTraceInfo(const Args &args)
+cmdTraceInfo(const ParsedArgs &args)
 {
-    if (args.positional.size() < 2) {
-        std::cerr << "error: trace info needs a file path\n";
+    auto path = oneOperand(args, "a trace file path");
+    if (!path)
         return 2;
-    }
-    const std::string &path = args.positional[1];
-    trace::TraceData data = trace::readTrace(path);
+    trace::TraceData data = trace::readTrace(*path);
     std::string dims;
     for (unsigned d : data.profile.dims())
         dims += (dims.empty() ? "" : ",") + std::to_string(d);
@@ -1326,7 +1135,7 @@ cmdTraceInfo(const Args &args)
 }
 
 int
-cmdTraceGen(const Args &args)
+cmdTraceGen(const ParsedArgs &args)
 {
     workload::AdversarialSpec spec;
     spec.family = args.get("family", "phase-alias");
@@ -1337,8 +1146,7 @@ cmdTraceGen(const Args &args)
         return 0;
     }
     spec.seed = args.getU64("seed", 1);
-    spec.intervals =
-        static_cast<std::size_t>(args.getU64("intervals", 600));
+    spec.intervals = args.getU64("intervals", 600);
     spec.intervalLen = args.getU64("interval", 100'000);
     std::string out = args.get("out", "");
     if (out.empty()) {
@@ -1366,13 +1174,12 @@ cmdTraceGen(const Args &args)
  * writer.
  */
 int
-cmdTraceCorpus(const Args &args)
+cmdTraceCorpus(const ParsedArgs &args)
 {
-    if (args.positional.size() < 2) {
-        std::cerr << "error: trace corpus needs an output dir\n";
+    auto operand = oneOperand(args, "an output directory");
+    if (!operand)
         return 2;
-    }
-    const std::string dir = args.positional[1];
+    const std::string dir = *operand;
     std::filesystem::create_directories(dir);
 
     workload::AdversarialSpec spec;
@@ -1464,26 +1271,247 @@ cmdTraceCorpus(const Args &args)
     return 0;
 }
 
-int
-cmdTrace(const Args &args)
+/** One tpcp command: its operands, flags and entry point. */
+struct Command
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: tpcp trace <export|info|gen|corpus> "
-                     "[options]\n";
-        return 2;
+    /** "classify", or "trace <verb>" for the trace tooling. */
+    std::string name;
+    /** Operand synopsis; empty when the command takes none. */
+    std::string operands;
+    /** One-line description for the command list. */
+    std::string what;
+    Flags flags;
+    int (*run)(const ParsedArgs &);
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"workloads", "", "list the built-in workloads", {},
+         cmdWorkloads},
+        {"machine", "", "print the Table-1 machine model", {},
+         cmdMachine},
+        {"profile", "<workload>|all",
+         "simulate or load a profile and summarize it; 'all' "
+         "builds every profile",
+         join({profileFlags(), {traceFlag(false), cli::jobsFlag()}}),
+         cmdProfile},
+        {"classify", "<workload>",
+         "classify and print phase metrics",
+         join({profileFlags(), classifierFlags(),
+               {traceFlag(false),
+                {"timeline", Kind::Flag,
+                 "print the phase timeline"}}}),
+         cmdClassify},
+        {"predict", "<workload>",
+         "next-phase and phase-change prediction",
+         join({profileFlags(), classifierFlags(),
+               {traceFlag(false),
+                {"predictor", Kind::Text,
+                 oneOf(pred::predictorSpecNames()) +
+                     " (default rle2)"}}}),
+         cmdPredict},
+        {"export", "<workload>", "per-interval CSV for plotting",
+         join({profileFlags(), classifierFlags(),
+               {traceFlag(false),
+                {"out", Kind::Text,
+                 "output CSV file (default stdout)"}}}),
+         cmdExport},
+        {"simstats", "<workload>",
+         "run the simulator and dump uarch stats",
+         {{"core", Kind::Text, "timing core: ooo | simple (default ooo)"},
+          {"max-insts", Kind::U64,
+           "stop after N instructions (default: full run)"}},
+         cmdSimStats},
+        {"sample", "[workload...]",
+         "phase-guided sampled simulation (no workloads = all 11)",
+         join({profileFlags(),
+               {traceFlag(true), cli::jobsFlag(),
+                {"budget", Kind::U64,
+                 "detailed intervals per workload (default 16)"},
+                {"selector", Kind::Text,
+                 oneOf(sample::selectorNames()) +
+                     " (default stratified)"},
+                {"phase-source", Kind::Text,
+                 "online | offline (default online)"},
+                jsonFlag("the SampleReports"),
+                {"max-error", Kind::Real,
+                 "exit 1 if any CPI estimate is off by more than "
+                 "this fraction (CI tripwire)"}}}),
+         cmdSample},
+        {"adapt", "[workload...]",
+         "phase-guided dynamic reconfiguration (no workloads = all "
+         "11; traces replay recorded CPI, so only energy varies)",
+         join({profileFlags(),
+               {traceFlag(true), cli::jobsFlag(),
+                {"policy", Kind::Text,
+                 oneOf(adapt::policyPresetNames()) +
+                     " (default greedy)"},
+                {"lattice", Kind::Text,
+                 "standard | small (default standard)"},
+                jsonFlag("the AdaptReports"),
+                {"min-oracle", Kind::Real,
+                 "exit 1 if any workload's policy reaches less than "
+                 "this fraction of the oracle's EDP savings (CI "
+                 "tripwire)"}}}),
+         cmdAdapt},
+        {"faults", "[workload...]",
+         "soft-error resilience measurement (no workloads = all 11)",
+         join({profileFlags(),
+               {traceFlag(true), cli::jobsFlag(),
+                {"target", Kind::Text,
+                 oneOf(fault::targetNames()) + " (default all)"},
+                {"predictor", Kind::Text,
+                 "change predictor under fault, as for predict "
+                 "except lastvalue (default rle2)"},
+                {"rate", Kind::Real,
+                 "per-interval fault probability (default 0.01)"},
+                {"mitigated", Kind::Flag,
+                 "enable the hardening model: parity-protected "
+                 "signature table with scrub and repair, ECC "
+                 "predictor tables, CPI plausibility gate"},
+                {"seed", Kind::U64, "fault campaign seed"},
+                {"scrub-every", Kind::U32,
+                 "mitigated scrub period in intervals (default 1)"},
+                {"adapt", Kind::Flag,
+                 "also measure the adapt-layer oracle-fraction "
+                 "delta (simulates the lattice; prefer --core "
+                 "simple)"},
+                {"lattice", Kind::Text,
+                 "lattice for --adapt: standard | small (default "
+                 "small)"},
+                jsonFlag("the ResilienceReports"),
+                {"min-agreement", Kind::Real,
+                 "exit 1 if any workload's phase-ID agreement falls "
+                 "below this fraction (CI tripwire)"},
+                {"checkpoint", Kind::Text,
+                 "checkpoint file (single workload only)"},
+                {"checkpoint-at", Kind::U64,
+                 "save the checkpoint and stop after K intervals"},
+                {"resume", Kind::Flag,
+                 "resume the faulty run from --checkpoint"}}}),
+         cmdFaults},
+        {"serve", "[workload...]",
+         "streaming multi-tenant phase service (workloads become the "
+         "replayed streams; none = synthetic)",
+         join({profileFlags(), classifierFlags(),
+               {traceFlag(true), cli::jobsFlag(),
+                {"tenants", Kind::U32,
+                 "concurrent tenants (default 8)"},
+                {"producers", Kind::U32,
+                 "producer rings/threads (default 1)"},
+                {"packets", Kind::U64,
+                 "packets per tenant stream: cap for profile "
+                 "streams, length for synthetic (default 2000; 0 = "
+                 "full profile)"},
+                {"streams", Kind::U32,
+                 "distinct synthetic streams (default 4)"},
+                {"resident", Kind::U32,
+                 "resident tenants per partition (default 0 = fit "
+                 "all)"},
+                {"evict-after", Kind::U64,
+                 "evict a tenant idle for N delivered packets "
+                 "(default 0 = never)"},
+                {"checkpoint-dir", Kind::Text,
+                 "eviction checkpoint directory (default "
+                 "serve_ckpt)"},
+                {"ring-bytes", Kind::U64,
+                 "per-producer ring capacity (default 1 MiB)"},
+                {"drop", Kind::Flag,
+                 "drop packets on a full ring (counted) instead of "
+                 "parking"},
+                {"park-retries", Kind::U64,
+                 "park retries per push before a counted drop "
+                 "(default 0 = park forever)"},
+                {"rate-limit", Kind::U64,
+                 "per-tenant token refill, packets per drain cycle "
+                 "(default 0 = unlimited)"},
+                {"burst", Kind::U64,
+                 "token-bucket capacity (default 0 = rate-limit)"},
+                {"drr-quantum", Kind::U64,
+                 "deficit-round-robin quantum, packets (default 16)"},
+                {"max-backlog", Kind::U64,
+                 "staged frames per tenant before arrivals are shed "
+                 "(default 0 = unbounded)"},
+                {"cycle-budget", Kind::U64,
+                 "frames delivered per partition per drain cycle "
+                 "(default 0 = drain batch)"},
+                {"quarantine-threshold", Kind::U64,
+                 "offenses within one window that quarantine a "
+                 "tenant (default 0 = disabled)"},
+                {"quarantine-window", Kind::U64,
+                 "offense window, packets seen (default 1024)"},
+                {"quarantine-backoff", Kind::U64,
+                 "first quarantine length, packets seen; doubles "
+                 "per re-quarantine (default 256)"},
+                {"quarantine-backoff-cap", Kind::U64,
+                 "backoff ceiling (default 1 Mi)"},
+                {"migrate-out", Kind::Text,
+                 "after the run, evict every tenant into this "
+                 "migration bundle directory"},
+                {"migrate-in", Kind::Text,
+                 "before the run, validate this bundle and adopt "
+                 "its tenants (a damaged bundle exits 1)"},
+                {"packet-base", Kind::U64,
+                 "start replaying each stream at interval K "
+                 "(sequence numbers stay absolute)"},
+                {"phase-out", Kind::Text,
+                 "write one tenant_<id>.phases stream per tenant to "
+                 "this directory"},
+                {"batch", Kind::Flag,
+                 "with --phase-out: write the batch-reference "
+                 "streams instead of running the service"},
+                jsonFlag("the ServeReport"),
+                {"min-rate", Kind::Real,
+                 "exit 1 if delivered packets/s fall below this (CI "
+                 "tripwire)"}}}),
+         cmdServe},
+        {"trace export", "<workload>",
+         "export a profile as a .tpcptrace (with --trace: re-export "
+         "the ingested trace byte-identically)",
+         join({profileFlags(),
+               {traceFlag(false),
+                {"out", Kind::Text, "output .tpcptrace path"},
+                {"source", Kind::Text,
+                 "provenance note stored in the header"}}}),
+         cmdTraceExport},
+        {"trace info", "<file>",
+         "print the validated trace header and content hash", {},
+         cmdTraceInfo},
+        {"trace gen", "",
+         "generate an adversarial stressor stream",
+         {{"out", Kind::Text, "output .tpcptrace path"},
+          {"family", Kind::Text,
+           oneOf(workload::adversarialFamilies()) +
+               " (default phase-alias; 'help' lists them)"},
+          {"seed", Kind::U64, "generator seed (default 1)"},
+          {"intervals", Kind::U64, "intervals (default 600)"},
+          {"interval", Kind::U64,
+           "instructions per interval (default 100000)"}},
+         cmdTraceGen},
+        {"trace corpus", "<dir>",
+         "write the deterministic corruption corpus and MANIFEST",
+         {}, cmdTraceCorpus},
+    };
+    return table;
+}
+
+/** Lists the commands whose names start with @p prefix. */
+void
+listCommands(std::ostream &os, const std::string &prefix)
+{
+    os << "usage: tpcp " << prefix
+       << (prefix.empty() ? "<command>" : "<verb>")
+       << " [operands] [options]\n";
+    for (const Command &c : commands()) {
+        if (c.name.rfind(prefix, 0) != 0)
+            continue;
+        os << "  " << std::left << std::setw(30)
+           << (c.operands.empty() ? c.name : c.name + " " + c.operands)
+           << c.what << "\n";
     }
-    const std::string &verb = args.positional.front();
-    if (verb == "export")
-        return cmdTraceExport(args);
-    if (verb == "info")
-        return cmdTraceInfo(args);
-    if (verb == "gen")
-        return cmdTraceGen(args);
-    if (verb == "corpus")
-        return cmdTraceCorpus(args);
-    std::cerr << "error: unknown trace verb '" << verb
-              << "' (export | info | gen | corpus)\n";
-    return 2;
+    os << "run 'tpcp <command> --help' for a command's options\n";
 }
 
 } // namespace
@@ -1491,42 +1519,44 @@ cmdTrace(const Args &args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    std::string cmd = argv[1];
-    Args args(argc, argv, 2);
+    std::string name = argc > 1 ? argv[1] : "";
+    int first = 2;
+    if (name == "trace") {
+        // The trace tooling is a command group: `trace <verb>`.
+        if (argc < 3 || argv[2][0] == '-') {
+            const bool help = argc > 2 &&
+                              (std::strcmp(argv[2], "--help") == 0 ||
+                               std::strcmp(argv[2], "-h") == 0);
+            listCommands(help ? std::cout : std::cerr, "trace ");
+            return help ? 0 : 2;
+        }
+        name += std::string(" ") + argv[2];
+        first = 3;
+    }
+    const Command *cmd = nullptr;
+    for (const Command &c : commands())
+        if (c.name == name)
+            cmd = &c;
+    if (!cmd) {
+        if (!name.empty())
+            std::cerr << "error: unknown command '" << name << "'\n";
+        listCommands(std::cerr, first == 3 ? "trace " : "");
+        return 2;
+    }
+    const ParsedArgs args = cli::parseOrExit(
+        {argv + first, argv + argc}, cmd->flags,
+        !cmd->operands.empty(),
+        "tpcp " + cmd->name +
+            (cmd->operands.empty() ? "" : " " + cmd->operands) +
+            " [options]");
 
     // The library raises recoverable tpcp::Error instead of exiting;
     // the tool is the process boundary that turns an unhandled one
     // into exit code 1.
     try {
-        if (cmd == "workloads")
-            return cmdWorkloads();
-        if (cmd == "machine")
-            return cmdMachine();
-        if (cmd == "profile")
-            return cmdProfile(args);
-        if (cmd == "classify")
-            return cmdClassify(args);
-        if (cmd == "predict")
-            return cmdPredict(args);
-        if (cmd == "export")
-            return cmdExport(args);
-        if (cmd == "simstats")
-            return cmdSimStats(args);
-        if (cmd == "sample")
-            return cmdSample(args);
-        if (cmd == "adapt")
-            return cmdAdapt(args);
-        if (cmd == "faults")
-            return cmdFaults(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "trace")
-            return cmdTrace(args);
+        return cmd->run(args);
     } catch (const Error &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }
-    return usage();
 }
