@@ -16,6 +16,8 @@
  *   --tenants=N    largest sweep point        (default 1024)
  *   --packets=N    packets per tenant stream  (default 200)
  *   --producers=P  producer rings/threads     (default 2)
+ *   --jobs=J       drain threads, capped at P (default 0 = one per
+ *                  hardware thread)
  *   --streams=K    distinct synthetic streams (default 4)
  *   --min-rate=R   fail if the largest point delivers fewer than R
  *                  packets/s
@@ -45,6 +47,7 @@ namespace
 struct SweepPoint
 {
     unsigned tenants = 0;
+    unsigned workers = 0;
     std::uint64_t produced = 0;
     std::uint64_t delivered = 0;
     std::uint64_t parkEvents = 0;
@@ -54,7 +57,7 @@ struct SweepPoint
 };
 
 SweepPoint
-runPoint(unsigned tenants, unsigned producers,
+runPoint(unsigned tenants, unsigned producers, unsigned jobs,
          std::uint64_t packets,
          const std::vector<serve::EncodedStream> &streams,
          const pred::PhaseTrackerConfig &tcfg)
@@ -64,6 +67,7 @@ runPoint(unsigned tenants, unsigned producers,
     opts.registry.maxResident =
         std::max(1u, (tenants + producers - 1) / producers);
     opts.producers = producers;
+    opts.jobs = jobs;
     serve::ServiceLoop loop(opts);
 
     std::vector<serve::ProducerTask> tasks(producers);
@@ -95,6 +99,7 @@ runPoint(unsigned tenants, unsigned producers,
 
     SweepPoint pt;
     pt.tenants = tenants;
+    pt.workers = loop.numWorkers();
     for (const serve::ProducerCounters &c : pcs) {
         pt.produced += c.pushed;
         pt.parkEvents += c.parkEvents;
@@ -183,15 +188,16 @@ main(int argc, char **argv)
     sweep.push_back(max_tenants);
 
     std::vector<SweepPoint> points;
-    AsciiTable table({"tenants", "producers", "packets", "parks",
-                      "evictions", "sec", "packets/s"});
+    AsciiTable table({"tenants", "producers", "workers", "packets",
+                      "parks", "evictions", "sec", "packets/s"});
     for (unsigned t : sweep) {
         SweepPoint pt =
-            runPoint(t, producers, packets, streams, tcfg);
+            runPoint(t, producers, args.jobs(), packets, streams, tcfg);
         points.push_back(pt);
         table.row()
             .cell(std::uint64_t{pt.tenants})
             .cell(std::uint64_t{producers})
+            .cell(std::uint64_t{pt.workers})
             .cell(pt.delivered)
             .cell(pt.parkEvents)
             .cell(pt.evictions)
@@ -212,6 +218,7 @@ main(int argc, char **argv)
             const SweepPoint &pt = points[i];
             out << "  {\"tenants\": " << pt.tenants
                 << ", \"producers\": " << producers
+                << ", \"workers\": " << pt.workers
                 << ", \"packets\": " << pt.delivered
                 << ", \"park_events\": " << pt.parkEvents
                 << ", \"evictions\": " << pt.evictions

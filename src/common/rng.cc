@@ -44,6 +44,10 @@ std::uint32_t
 Rng::nextBounded(std::uint32_t bound)
 {
     tpcp_assert(bound > 0);
+    // Power of two: the rejection threshold below is 0 and r % bound
+    // is r's low bits, so masking draws exactly the same values.
+    if (isPowerOf2(bound))
+        return next32() & (bound - 1);
     // Lemire-style rejection keeps the distribution exactly uniform.
     std::uint32_t threshold = (-bound) % bound;
     for (;;) {

@@ -58,7 +58,17 @@ class AccumulatorTable
     void
     recordBranch(Addr pc, InstCount insts)
     {
-        unsigned idx = bucketOf(pc);
+        recordBucket(bucketOf(pc), insts);
+    }
+
+    /**
+     * recordBranch() for a PC already hashed to counter @p idx, i.e.
+     * hashToBucket(pc, numCounters()): lets a caller that replays
+     * the same PCs many times hash each one once.
+     */
+    void
+    recordBucket(unsigned idx, InstCount insts)
+    {
         std::uint64_t v = ctrs[idx] + insts;
         ctrs[idx] =
             v > maxVal ? maxVal : static_cast<std::uint32_t>(v);

@@ -1,10 +1,12 @@
 #include "serve/producer.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "phase/accumulator_table.hh"
@@ -41,15 +43,17 @@ encodeSyntheticStream(std::uint64_t stream_seed, std::size_t packets,
     // real classification work instead of degenerate same-signature
     // matches.
     constexpr unsigned kShapes = 6;
+    constexpr std::uint32_t kPcsPerShape = 64;
     constexpr std::size_t kBranchesPerInterval = 256;
     Rng rng(std::uint64_t{0x5EEDF00D} ^ stream_seed);
-    std::vector<std::vector<Addr>> shapePcs(kShapes);
-    for (unsigned s = 0; s < kShapes; ++s) {
-        shapePcs[s].resize(64);
-        for (auto &pc : shapePcs[s])
-            pc = 0x400000 + ((std::uint64_t{s} << 20) |
-                             (rng.nextBounded(4096) * 4));
-    }
+    // Each shape's PCs, hashed once to their accumulator buckets.
+    std::array<std::array<unsigned, kPcsPerShape>, kShapes> shapeBuckets;
+    for (unsigned s = 0; s < kShapes; ++s)
+        for (unsigned &bucket : shapeBuckets[s])
+            bucket = hashToBucket(
+                0x400000 + ((std::uint64_t{s} << 20) |
+                            (rng.nextBounded(4096) * 4)),
+                num_counters);
 
     phase::AccumulatorTable acc(num_counters);
     EncodedStream stream(packets);
@@ -57,13 +61,10 @@ encodeSyntheticStream(std::uint64_t stream_seed, std::size_t packets,
     for (std::size_t i = 0; i < packets; ++i) {
         if (rng.nextBool(0.08))
             shape = rng.nextBounded(kShapes);
-        const auto &pcs = shapePcs[shape];
+        const auto &buckets = shapeBuckets[shape];
         acc.reset();
         for (std::size_t b = 0; b < kBranchesPerInterval; ++b)
-            acc.recordBranch(pcs[rng.nextBounded(
-                                 static_cast<std::uint32_t>(
-                                     pcs.size()))],
-                             12);
+            acc.recordBucket(buckets[rng.nextBounded(kPcsPerShape)], 12);
         const double cpi =
             0.6 + 0.15 * shape + 0.02 * rng.nextDouble();
         encodePacket(stream[i], 0, i, acc.counters().data(),

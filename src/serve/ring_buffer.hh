@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -49,14 +50,16 @@ class SpscRing
         std::size_t cap = 64;
         while (cap < capacity_bytes)
             cap <<= 1;
-        buf.resize(cap);
+        // Left uninitialized: only bytes a push wrote are ever read,
+        // and untouched pages cost neither a fill nor a page fault.
+        buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
         mask = cap - 1;
     }
 
     SpscRing(const SpscRing &) = delete;
     SpscRing &operator=(const SpscRing &) = delete;
 
-    std::size_t capacity() const { return buf.size(); }
+    std::size_t capacity() const { return mask + 1; }
 
     /** Largest frame payload a ring of this capacity can carry. */
     std::size_t
@@ -140,7 +143,7 @@ class SpscRing
         const std::size_t first = std::min(n, capacity() - at);
         std::memcpy(&buf[at], src, first);
         if (first < n)
-            std::memcpy(buf.data(),
+            std::memcpy(buf.get(),
                         static_cast<const std::uint8_t *>(src) + first,
                         n - first);
     }
@@ -155,10 +158,10 @@ class SpscRing
         std::memcpy(dst, &buf[at], first);
         if (first < n)
             std::memcpy(static_cast<std::uint8_t *>(dst) + first,
-                        buf.data(), n - first);
+                        buf.get(), n - first);
     }
 
-    std::vector<std::uint8_t> buf;
+    std::unique_ptr<std::uint8_t[]> buf;
     std::size_t mask = 0;
 
     /** Consumer position (bytes consumed, free-running). */

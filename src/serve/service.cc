@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/status.hh"
 #include "fault/injector.hh"
@@ -23,8 +24,7 @@ ServiceLoop::Partition::Partition(std::size_t ring_bytes,
         sched = std::make_unique<FlowScheduler>(fc);
 }
 
-ServiceLoop::ServiceLoop(const ServeOptions &options)
-    : opts(options), pool_(options.jobs)
+ServiceLoop::ServiceLoop(const ServeOptions &options) : opts(options)
 {
     tpcp_assert(opts.producers >= 1,
                 "service needs at least one producer ring");
@@ -56,6 +56,14 @@ unsigned
 ServiceLoop::numPartitions() const
 {
     return static_cast<unsigned>(parts_.size());
+}
+
+unsigned
+ServiceLoop::numWorkers() const
+{
+    const unsigned want =
+        opts.jobs != 0 ? opts.jobs : std::thread::hardware_concurrency();
+    return std::clamp(want, 1u, numPartitions());
 }
 
 const TenantRegistry &
@@ -106,10 +114,10 @@ ServiceLoop::deliverFrame(Partition &p, std::uint64_t tenant,
     }
 }
 
-void
+std::size_t
 ServiceLoop::drainOne(Partition &p)
 {
-    p.drained = 0;
+    std::size_t activity = 0;
     for (std::size_t n = 0; n < opts.drainBatch; ++n) {
         try {
             if (!p.ring.tryPop(p.frame))
@@ -120,7 +128,7 @@ ServiceLoop::drainOne(Partition &p)
             ++p.malformed;
             break;
         }
-        ++p.drained;
+        ++activity;
         if (p.injector != nullptr)
             p.injector->maybeCorruptFrame(p.frame.data(),
                                           p.frame.size());
@@ -162,7 +170,7 @@ ServiceLoop::drainOne(Partition &p)
         const std::size_t budget = opts.fairness.cycleBudget != 0
                                        ? opts.fairness.cycleBudget
                                        : opts.drainBatch;
-        p.drained += p.sched->drain(
+        activity += p.sched->drain(
             budget,
             [this, &p](std::uint64_t tenant,
                        const std::vector<std::uint8_t> &f) {
@@ -170,50 +178,53 @@ ServiceLoop::drainOne(Partition &p)
             });
     }
     p.registry.evictIdle();
+    return activity;
 }
 
 void
 ServiceLoop::run()
 {
-    while (true) {
-        for (auto &part : parts_) {
-            Partition *p = part.get();
-            pool_.submit([this, p] { drainOne(*p); });
+    const unsigned threads = numWorkers();
+    std::vector<std::uint64_t> passes(threads, 0);
+    // Drain thread k owns partitions k, k + threads, ... and exits
+    // after a pass that moved nothing and found each one finished.
+    auto drainShare = [&](unsigned k) {
+        std::uint64_t n = 0;
+        for (bool finished = false; !finished; ++n) {
+            std::size_t moved = 0;
+            finished = true;
+            for (std::size_t i = k; i < parts_.size(); i += threads) {
+                Partition &p = *parts_[i];
+                // Loaded before the drain: done is set after the
+                // final push, so done-then-empty means no more frames.
+                const bool done =
+                    p.done.load(std::memory_order_acquire);
+                moved += drainOne(p);
+                finished = finished && done && p.ring.empty() &&
+                           (p.sched == nullptr || p.sched->idle());
+            }
+            finished = finished && moved == 0;
+            if (moved == 0 && !finished)
+                std::this_thread::yield(); // let producers run
         }
-        pool_.wait();
-        ++drainCycles_;
-
-        std::size_t drained = 0;
-        bool finished = true;
-        for (auto &part : parts_) {
-            drained += part->drained;
-            // Order matters: only if the producer was already done
-            // *before* we observed its ring empty can no further
-            // frame arrive (done is set after the final push). A
-            // non-idle flow scheduler still owes staged frames.
-            if (!part->done.load(std::memory_order_acquire) ||
-                !part->ring.empty() ||
-                (part->sched != nullptr && !part->sched->idle()))
-                finished = false;
-        }
-        if (finished && drained == 0)
-            break;
-        if (drained == 0) {
-            // Rings empty but producers still running: yield the
-            // core so they can make progress (CI runs single-core).
-            std::this_thread::yield();
-        }
-    }
+        passes[k] = n;
+    };
+    {
+        std::vector<std::jthread> helpers;
+        for (unsigned k = 1; k < threads; ++k)
+            helpers.emplace_back(drainShare, k);
+        drainShare(0);
+    } // joins the helpers
+    for (std::uint64_t n : passes)
+        drainCycles_ += n;
 }
 
 std::size_t
 ServiceLoop::runCycle()
 {
     std::size_t activity = 0;
-    for (auto &part : parts_) {
-        drainOne(*part);
-        activity += part->drained;
-    }
+    for (auto &part : parts_)
+        activity += drainOne(*part);
     ++drainCycles_;
     return activity;
 }
@@ -288,31 +299,25 @@ ServiceLoop::allTenantIds() const
     return ids;
 }
 
-const TenantRegistry *
-ServiceLoop::findTenant(std::uint64_t tenant) const
+const TenantRegistry &
+ServiceLoop::registryOf(std::uint64_t tenant) const
 {
     for (const auto &part : parts_)
         if (part->registry.hasTenant(tenant))
-            return &part->registry;
-    return nullptr;
+            return part->registry;
+    tpcp_raise("unknown tenant ", tenant);
 }
 
 const TenantCounters &
 ServiceLoop::tenantCounters(std::uint64_t tenant) const
 {
-    const TenantRegistry *r = findTenant(tenant);
-    if (r == nullptr)
-        tpcp_raise("unknown tenant ", tenant);
-    return r->tenantCounters(tenant);
+    return registryOf(tenant).tenantCounters(tenant);
 }
 
 const std::vector<PhaseId> &
 ServiceLoop::phaseStream(std::uint64_t tenant) const
 {
-    const TenantRegistry *r = findTenant(tenant);
-    if (r == nullptr)
-        tpcp_raise("unknown tenant ", tenant);
-    return r->phaseStream(tenant);
+    return registryOf(tenant).phaseStream(tenant);
 }
 
 void
@@ -333,28 +338,22 @@ ServiceLoop::writePhaseStreams(const std::string &dir) const
 namespace
 {
 
+/** Appends `"key": value` (integers exact, reals as %.6g). */
+template <typename T>
 void
-appendField(std::string &out, const char *key, std::uint64_t value,
+appendField(std::string &out, const char *key, T value,
             bool last = false)
 {
     out += '"';
     out += key;
     out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += buf;
+    if constexpr (std::is_floating_point_v<T>) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.6g", value);
+        out += buf;
+    } else {
+        out += std::to_string(value);
+    }
     if (!last)
         out += ", ";
 }
@@ -365,9 +364,9 @@ std::string
 toJson(const ServeReport &r)
 {
     std::string out = "{\n  ";
-    appendField(out, "tenants", std::uint64_t{r.tenants});
-    appendField(out, "producers", std::uint64_t{r.producers});
-    appendField(out, "jobs", std::uint64_t{r.jobs});
+    appendField(out, "tenants", r.tenants);
+    appendField(out, "producers", r.producers);
+    appendField(out, "jobs", r.jobs);
     appendField(out, "packets_produced", r.packetsProduced);
     appendField(out, "packets_dropped", r.packetsDropped);
     appendField(out, "park_events", r.parkEvents);

@@ -1,18 +1,17 @@
 /**
  * @file
  * The streaming multi-tenant phase service: N producer rings, each
- * drained into its own TenantRegistry partition on the shared
- * thread pool.
+ * drained into its own TenantRegistry partition by one drain thread.
  *
  * Concurrency model. Each ring is strictly SPSC: one producer thread
- * pushes, and in any drain cycle at most one pool task pops it. The
- * service submits one drain task per ring, waits for the cycle, and
- * repeats until every producer has signalled done, every ring is
- * empty and every flow backlog is drained. Registries are confined to
- * their ring's drain task, so no tenant state is ever touched from
+ * pushes and one drain thread pops. run() drains on the calling
+ * thread plus numWorkers() - 1 threads it starts; drain thread k
+ * owns partitions k, k + numWorkers(), ... for the whole run, with
+ * no barrier between passes. Registries are confined to their
+ * partition's drain thread, so no tenant state is ever touched from
  * two threads — which is also why per-tenant phase-ID streams are
- * byte-identical to the batch PhaseTracker path at any producer
- * count.
+ * byte-identical to the batch PhaseTracker path at any producer or
+ * drain-thread count.
  *
  * Overload resilience (all off by default — zero-valued FairnessConfig
  * reproduces the plain FIFO drain bit for bit). With any fairness
@@ -27,7 +26,7 @@
  *
  * Error containment. Frame and packet validation failures, sequence
  * violations, and resume failures raise recoverable tpcp::Error
- * inside the drain task; the service counts them (malformedPackets /
+ * inside the drain; the service counts them (malformedPackets /
  * rejectedPackets) and keeps consuming. Nothing a producer can put
  * in a ring crashes the service.
  */
@@ -41,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "serve/flow_sched.hh"
 #include "serve/producer.hh"
 #include "serve/ring_buffer.hh"
@@ -65,14 +63,15 @@ struct ServeOptions
     FairnessConfig fairness;
     /** Producer rings (= partitions). */
     unsigned producers = 1;
-    /** Pool worker threads (0 = hardware concurrency). */
+    /** Drain threads, the calling thread included, capped at
+     * producers (0 = hardware concurrency). */
     unsigned jobs = 0;
     /** Capacity of each ring, bytes (rounded up to a power of two).
      * Sized so a parked producer amortizes its wakeup over thousands
      * of frames — small rings thrash the scheduler. */
     std::size_t ringBytes = 1u << 20;
-    /** Frames popped from one ring per drain task, bounding how long
-     * a cycle can monopolize a worker. */
+    /** Frames popped from one ring per drain pass, bounding how
+     * long one partition holds its drain thread. */
     std::size_t drainBatch = 512;
 };
 
@@ -96,6 +95,7 @@ struct ServeCounters
     std::uint64_t quarantineDrops = 0;
     std::uint64_t readmissions = 0;
     std::uint64_t resumeFailures = 0;
+    /** Drain passes, summed over run()'s drain threads. */
     std::uint64_t drainCycles = 0;
 };
 
@@ -135,7 +135,7 @@ std::vector<PhaseId>
 batchPhaseStream(const EncodedStream &stream,
                  const pred::PhaseTrackerConfig &cfg);
 
-/** The service: owns the rings, the partitions and the pool. */
+/** The service: owns the rings and the partitions. */
 class ServiceLoop
 {
   public:
@@ -150,14 +150,15 @@ class ServiceLoop
     void producerDone(unsigned i);
 
     /**
-     * Drains all rings to completion. Call after the producer
-     * threads are started (it blocks until they all signalled done).
+     * Drains all rings to completion on numWorkers() drain threads,
+     * the calling thread included. Call after the producer threads
+     * are started (it blocks until they all signalled done).
      */
     void run();
 
     /**
      * Runs exactly one drain cycle inline on the calling thread (no
-     * pool involvement): each partition pops up to drainBatch frames
+     * drain threads): each partition pops up to drainBatch frames
      * and serves its backlog once. Returns the cycle's total
      * activity (frames popped + frames served). This is the lockstep
      * entry point the chaos harness drives — interleaved push /
@@ -167,8 +168,9 @@ class ServiceLoop
     std::size_t runCycle();
 
     unsigned numPartitions() const;
-    /** Pool worker threads actually running. */
-    unsigned numWorkers() const { return pool_.numThreads(); }
+    /** Drain threads run() uses, the calling thread included:
+     * min(jobs, or hardware concurrency when 0, numPartitions()). */
+    unsigned numWorkers() const;
     const TenantRegistry &registry(unsigned i) const;
     ServeCounters counters() const;
 
@@ -187,7 +189,7 @@ class ServiceLoop
      * Arms serve-layer fault injection for partition @p i: frames
      * popped from the ring may take bit flips, and tenant checkpoint
      * writes may be torn, corrupted or deleted. One injector per
-     * partition (it is used from that partition's drain task only);
+     * partition (it is used from that partition's drain thread only);
      * must outlive the service loop.
      */
     void setFaultInjector(unsigned i, fault::Injector *injector);
@@ -244,10 +246,6 @@ class ServiceLoop
         fault::Injector *injector = nullptr;
         /** Producer-done flag (set by the producer thread). */
         std::atomic<bool> done{false};
-        /** Activity (frames popped + served) in the current cycle
-         * (written only by this partition's drain task; read after
-         * pool.wait()). */
-        std::size_t drained = 0;
         std::uint64_t malformed = 0;
         std::uint64_t rejected = 0;
         /** Decode scratch, reused across frames. */
@@ -256,19 +254,20 @@ class ServiceLoop
     };
 
     /** Pops up to drainBatch frames from partition @p p and, with
-     * fairness on, serves its flow backlog once. */
-    void drainOne(Partition &p);
+     * fairness on, serves its flow backlog once. Returns the
+     * activity: frames popped + frames served. */
+    std::size_t drainOne(Partition &p);
 
     /** The scheduler sink: decode + deliver one served frame. */
     void deliverFrame(Partition &p, std::uint64_t tenant,
                       const std::uint8_t *data, std::size_t size);
 
-    const TenantRegistry *findTenant(std::uint64_t tenant) const;
+    /** The registry holding @p tenant; raises when none does. */
+    const TenantRegistry &registryOf(std::uint64_t tenant) const;
 
     ServeOptions opts;
     std::vector<std::unique_ptr<Partition>> parts_;
     std::uint64_t drainCycles_ = 0;
-    ThreadPool pool_;
 };
 
 } // namespace tpcp::serve

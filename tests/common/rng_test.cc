@@ -56,6 +56,33 @@ TEST(Rng, NextBoundedOneAlwaysZero)
         EXPECT_EQ(rng.nextBounded(1), 0u);
 }
 
+TEST(Rng, NextBoundedPowerOfTwoMatchesRejectionPath)
+{
+    // The general rejection draw, as nextBounded() computes it for
+    // any bound: the power-of-two fast path must give the same
+    // values and consume the same number of raw draws.
+    auto rejection = [](Rng &rng, std::uint32_t bound) {
+        const std::uint32_t threshold = (-bound) % bound;
+        for (;;) {
+            const std::uint32_t r = rng.next32();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        Rng fast(seed);
+        Rng slow(seed);
+        for (unsigned k = 0; k < 32; ++k)
+            for (int i = 0; i < 16; ++i) {
+                const std::uint32_t bound = std::uint32_t{1} << k;
+                ASSERT_EQ(fast.nextBounded(bound),
+                          rejection(slow, bound))
+                    << "seed " << seed << ", bound 2^" << k;
+            }
+        EXPECT_EQ(fast.next64(), slow.next64()) << "seed " << seed;
+    }
+}
+
 TEST(Rng, NextRangeInclusive)
 {
     Rng rng(std::uint64_t{11});

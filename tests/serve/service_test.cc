@@ -2,19 +2,22 @@
  * @file
  * End-to-end tests for the streaming service: per-tenant phase-ID
  * streams must be byte-identical to the batch PhaseTracker path —
- * at one producer, at several, and across checkpointed eviction and
- * transparent resume — and every packet must be visibly accounted
- * for (delivered, malformed, or rejected; never silently lost).
+ * at one producer, at several, at any drain-thread count, and across
+ * checkpointed eviction and transparent resume — and every packet
+ * must be visibly accounted for (delivered, malformed, or rejected;
+ * never silently lost).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/status.hh"
 #include "serve/service.hh"
 
@@ -52,22 +55,32 @@ streamOf(const std::vector<EncodedStream> &streams, std::uint64_t t)
     return streams[t % streams.size()];
 }
 
+/** One Park producer task per ring of @p loop, tenant t on ring
+ * t % producers (the CLI's mapping). */
+std::vector<ProducerTask>
+producerTasks(ServiceLoop &loop, const std::vector<EncodedStream> &streams)
+{
+    std::vector<ProducerTask> tasks(loop.numPartitions());
+    for (unsigned p = 0; p < loop.numPartitions(); ++p) {
+        tasks[p].ring = &loop.ring(p);
+        tasks[p].policy = BackpressurePolicy::Park;
+    }
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+        ProducerTask &task = tasks[t % loop.numPartitions()];
+        task.tenants.push_back(t);
+        task.streams.push_back(&streamOf(streams, t));
+    }
+    return tasks;
+}
+
 /** Runs the full service over the test tenants and returns it. */
 std::unique_ptr<ServiceLoop>
 runService(const std::vector<EncodedStream> &streams,
            const ServeOptions &opts)
 {
     auto loop = std::make_unique<ServiceLoop>(opts);
-    std::vector<ProducerTask> tasks(opts.producers);
-    for (unsigned p = 0; p < opts.producers; ++p) {
-        tasks[p].ring = &loop->ring(p);
-        tasks[p].policy = BackpressurePolicy::Park;
-    }
-    for (std::uint64_t t = 0; t < kTenants; ++t) {
-        ProducerTask &task = tasks[t % opts.producers];
-        task.tenants.push_back(t);
-        task.streams.push_back(&streamOf(streams, t));
-    }
+    const std::vector<ProducerTask> tasks =
+        producerTasks(*loop, streams);
     std::vector<std::thread> threads;
     for (unsigned p = 0; p < opts.producers; ++p)
         threads.emplace_back([&, p] {
@@ -103,34 +116,129 @@ expectBatchIdentity(const ServiceLoop &loop,
     }
 }
 
+/** Every pushed packet delivered, none lost or refused. */
+void
+expectConservation(const ServiceLoop &loop)
+{
+    const ServeCounters c = loop.counters();
+    EXPECT_EQ(c.packets, std::uint64_t{kTenants} * kPackets);
+    EXPECT_EQ(c.malformedPackets, 0u);
+    EXPECT_EQ(c.rejectedPackets, 0u);
+    EXPECT_EQ(c.lostUpstream, 0u);
+    EXPECT_EQ(c.tenants, kTenants);
+}
+
 } // namespace
+
+TEST(SyntheticStream, BytesMatchPinnedDigests)
+{
+    // FNV-1a over every frame of 300-packet streams, recorded before
+    // the generator's bucket precomputation and the Rng power-of-two
+    // fast path: both must leave the bytes unchanged.
+    struct Pin
+    {
+        unsigned dims;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    for (const Pin &pin : {Pin{16, 0, 0x67eb2cbc37f63fbbULL},
+                           Pin{16, 1, 0x083e668687aa011bULL},
+                           Pin{16, 2, 0x97bcc06626bad062ULL},
+                           Pin{32, 0, 0x34c6703599277392ULL},
+                           Pin{13, 2, 0xe4467bd80e42a72bULL}}) {
+        std::vector<std::uint8_t> bytes;
+        for (const auto &frame :
+             encodeSyntheticStream(pin.seed, 300, pin.dims))
+            bytes.insert(bytes.end(), frame.begin(), frame.end());
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.digest)
+            << pin.dims << " counters, seed " << pin.seed;
+    }
+}
 
 TEST(ServiceLoop, MatchesBatchPathSingleProducer)
 {
     ServeOptions opts = baseOptions();
     auto streams = testStreams(opts.registry.tracker);
     auto loop = runService(streams, opts);
-
-    const ServeCounters c = loop->counters();
-    EXPECT_EQ(c.packets, std::uint64_t{kTenants} * kPackets);
-    EXPECT_EQ(c.malformedPackets, 0u);
-    EXPECT_EQ(c.rejectedPackets, 0u);
-    EXPECT_EQ(c.lostUpstream, 0u);
-    EXPECT_EQ(c.tenants, kTenants);
+    expectConservation(*loop);
     expectBatchIdentity(*loop, streams, opts.registry.tracker);
 }
 
 TEST(ServiceLoop, MatchesBatchPathAtAnyProducerCount)
 {
-    for (unsigned producers : {2u, 3u}) {
+    // (producers, jobs -> drain threads): jobs = 0 (hardware
+    // threads), one drain thread owning three partitions, two threads
+    // owning two each, jobs above the partition count, and the single
+    // partition drained with no thread started.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    struct Shape
+    {
+        unsigned producers, jobs, workers;
+    };
+    for (const Shape &sh :
+         {Shape{2, 0, std::min(hw, 2u)}, Shape{3, 0, std::min(hw, 3u)},
+          Shape{3, 1, 1}, Shape{4, 2, 2}, Shape{2, 8, 2},
+          Shape{1, 0, 1}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << sh.producers << " producers, jobs "
+                     << sh.jobs);
         ServeOptions opts = baseOptions();
-        opts.producers = producers;
+        opts.producers = sh.producers;
+        opts.jobs = sh.jobs;
         auto streams = testStreams(opts.registry.tracker);
         auto loop = runService(streams, opts);
-        EXPECT_EQ(loop->counters().packets,
-                  std::uint64_t{kTenants} * kPackets);
+        EXPECT_EQ(loop->numWorkers(), sh.workers);
+        expectConservation(*loop);
         expectBatchIdentity(*loop, streams, opts.registry.tracker);
     }
+}
+
+TEST(ServiceLoop, SilentProducerDoneBeforeRun)
+{
+    // Ring 0's producer pushes nothing and is done before run()
+    // starts; ring 1's producer carries every tenant.
+    ServeOptions opts = baseOptions();
+    opts.producers = 2;
+    opts.jobs = 2;
+    auto streams = testStreams(opts.registry.tracker);
+    ServiceLoop loop(opts);
+    loop.producerDone(0);
+    ProducerTask task;
+    task.ring = &loop.ring(1);
+    task.policy = BackpressurePolicy::Park;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+        task.tenants.push_back(t);
+        task.streams.push_back(&streamOf(streams, t));
+    }
+    std::thread producer([&] {
+        runProducer(task);
+        loop.producerDone(1);
+    });
+    loop.run();
+    producer.join();
+    expectConservation(loop);
+    expectBatchIdentity(loop, streams, opts.registry.tracker);
+}
+
+TEST(ServiceLoop, RunAfterProducersFinished)
+{
+    // Every producer has pushed its whole stream and signalled done
+    // before run() starts: the drain threads find full rings and
+    // done flags already set.
+    ServeOptions opts = baseOptions();
+    opts.producers = 2;
+    opts.jobs = 2;
+    auto streams = testStreams(opts.registry.tracker);
+    ServiceLoop loop(opts);
+    const std::vector<ProducerTask> tasks = producerTasks(loop, streams);
+    for (unsigned p = 0; p < opts.producers; ++p) {
+        const ProducerCounters pc = runProducer(tasks[p]);
+        ASSERT_EQ(pc.parkEvents, 0u) << "ring " << p << " filled up";
+        loop.producerDone(p);
+    }
+    loop.run();
+    expectConservation(loop);
+    expectBatchIdentity(loop, streams, opts.registry.tracker);
 }
 
 TEST(ServiceLoop, EvictResumePreservesIdentity)

@@ -41,6 +41,7 @@
 #include "pred/eval.hh"
 #include "sample/report.hh"
 #include "common/state_io.hh"
+#include "serve/packet.hh"
 #include "serve/service.hh"
 #include "trace/profile_cache.hh"
 #include "trace/trace_file.hh"
@@ -823,6 +824,22 @@ cmdServe(const ParsedArgs &args)
     phase::ClassifierConfig ccfg = classifierConfig(args);
     pred::PhaseTrackerConfig tcfg;
     tcfg.classifier = ccfg;
+    const std::uint64_t drr_quantum = args.getU64("drr-quantum", 16);
+    if (drr_quantum == 0) {
+        std::cerr << "error: --drr-quantum must be >= 1\n";
+        return 2;
+    }
+    const std::uint64_t ring_bytes = args.getU64("ring-bytes", 1u << 20);
+    const std::size_t frame_bytes =
+        serve::packetBytes(ccfg.numCounters) +
+        serve::SpscRing::kFrameOverhead;
+    const std::uint64_t max_ring_bytes = std::uint64_t{1} << 30;
+    if (ring_bytes < frame_bytes || ring_bytes > max_ring_bytes) {
+        std::cerr << "error: --ring-bytes must be between one "
+                  << frame_bytes << "-byte frame and "
+                  << max_ring_bytes << "\n";
+        return 2;
+    }
 
     // Shared streams: tenant t replays stream t % S, so a tenant's
     // input depends only on its id — never on the producer layout.
@@ -880,10 +897,10 @@ cmdServe(const ParsedArgs &args)
     sopts.registry.tracker = tcfg;
     sopts.producers = producers;
     sopts.jobs = args.jobs();
-    sopts.ringBytes = args.getU64("ring-bytes", 1u << 20);
+    sopts.ringBytes = ring_bytes;
     sopts.fairness.ratePerCycle = args.getU64("rate-limit", 0);
     sopts.fairness.burst = args.getU64("burst", 0);
-    sopts.fairness.drrQuantum = args.getU64("drr-quantum", 16);
+    sopts.fairness.drrQuantum = drr_quantum;
     sopts.fairness.maxBacklog = args.getU64("max-backlog", 0);
     sopts.fairness.cycleBudget = args.getU64("cycle-budget", 0);
     sopts.registry.quarantine.offenseThreshold =
@@ -1417,7 +1434,8 @@ commands()
                  "eviction checkpoint directory (default "
                  "serve_ckpt)"},
                 {"ring-bytes", Kind::U64,
-                 "per-producer ring capacity (default 1 MiB)"},
+                 "per-producer ring capacity, one frame to 1 GiB "
+                 "(default 1 MiB)"},
                 {"drop", Kind::Flag,
                  "drop packets on a full ring (counted) instead of "
                  "parking"},
