@@ -22,6 +22,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "workload/workload.hh"
 
 using namespace tpcp;
@@ -149,11 +150,8 @@ main(int argc, char **argv)
     summary.print(std::cout);
 
     if (json_path != "-") {
-        if (!adapt::writeJson(json_path, all)) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
+        if (!bench::writeJson(json_path, json::lines(all)))
             return 1;
-        }
         std::cout << "\nwrote " << all.size() << " reports to "
                   << json_path << "\n";
     }

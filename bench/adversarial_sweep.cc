@@ -35,10 +35,8 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +44,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 #include "pred/eval.hh"
@@ -163,54 +162,23 @@ runRow(const RowSpec &spec, std::size_t intervals)
     return r;
 }
 
-/** Per-family floors parsed from --floors. */
-struct Floor
-{
-    double purity = 0.0;
-    double mitAgree = 0.0;
-};
-
-std::map<std::string, Floor>
-loadFloors(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        tpcp_raise("cannot read floors file ", path);
-    std::map<std::string, Floor> floors;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string family;
-        Floor f;
-        if (!(ls >> family >> f.purity >> f.mitAgree))
-            tpcp_raise("floors file ", path,
-                       ": malformed line '", line,
-                       "' (want: family purity mit_agree)");
-        floors[family] = f;
-    }
-    return floors;
-}
-
 std::string
-jsonRow(const RowResult &r)
+toJson(const RowResult &r)
 {
-    std::ostringstream os;
-    os << "{\"name\": \"" << r.name << "\""
-       << ", \"adversarial\": "
-       << (r.adversarial ? "true" : "false");
+    json::Object row(json::Real::G6);
+    row.field("name", r.name).field("adversarial", r.adversarial);
     if (r.adversarial)
-        os << ", \"family\": \"" << r.family << "\"";
-    os << ", \"intervals\": " << r.intervals
-       << ", \"behaviors\": " << r.behaviors
-       << ", \"phases\": " << r.phases << ", \"stable_fraction\": "
-       << r.stableFraction << ", \"purity\": " << r.purity
-       << ", \"rle2_correct\": " << r.rle2Correct
-       << ", \"tage_correct\": " << r.tageCorrect
-       << ", \"mit_agree\": " << r.mitAgree
-       << ", \"unmit_agree\": " << r.unmitAgree << "}";
-    return os.str();
+        row.field("family", r.family);
+    return row.field("intervals", r.intervals)
+        .field("behaviors", r.behaviors)
+        .field("phases", r.phases)
+        .field("stable_fraction", r.stableFraction)
+        .field("purity", r.purity)
+        .field("rle2_correct", r.rle2Correct)
+        .field("tage_correct", r.tageCorrect)
+        .field("mit_agree", r.mitAgree)
+        .field("unmit_agree", r.unmitAgree)
+        .str();
 }
 
 } // namespace
@@ -306,23 +274,14 @@ main(int argc, char **argv)
         table.print(std::cout);
 
         if (json_path != "-") {
-            std::ofstream out(json_path);
-            if (!out)
-                tpcp_raise("cannot write ", json_path);
-            out << "[\n";
-            for (std::size_t i = 0; i < results.size(); ++i)
-                out << "  " << jsonRow(results[i])
-                    << (i + 1 < results.size() ? "," : "") << "\n";
-            out << "]\n";
-            if (!out.flush())
-                tpcp_raise("cannot write ", json_path);
+            json::writeFile(json_path, json::lines(results));
             std::cout << "\nwrote " << results.size()
                       << " rows to " << json_path << "\n";
         }
 
         if (args.has("floors")) {
-            std::map<std::string, Floor> floors =
-                loadFloors(args.get("floors", ""));
+            const auto floors = bench::loadFloors(
+                args.get("floors", ""), 2, "family purity mit_agree");
             unsigned violations = 0;
             for (const RowResult &r : results) {
                 if (!r.adversarial)
@@ -331,17 +290,19 @@ main(int argc, char **argv)
                 if (it == floors.end())
                     tpcp_raise("floors file has no entry for "
                                "family ", r.family);
-                if (r.purity < it->second.purity) {
+                const double purity = it->second[0];
+                const double mit_agree = it->second[1];
+                if (r.purity < purity) {
                     std::cerr << "error: " << r.name << " purity "
-                              << r.purity << " below floor "
-                              << it->second.purity << "\n";
+                              << r.purity << " below floor " << purity
+                              << "\n";
                     ++violations;
                 }
-                if (r.mitAgree < it->second.mitAgree) {
+                if (r.mitAgree < mit_agree) {
                     std::cerr << "error: " << r.name
                               << " mitigated agreement "
                               << r.mitAgree << " below floor "
-                              << it->second.mitAgree << "\n";
+                              << mit_agree << "\n";
                     ++violations;
                 }
             }

@@ -16,14 +16,20 @@
 #define TPCP_BENCH_BENCH_COMMON_HH
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/parallel_runner.hh"
 #include "common/cli.hh"
+#include "common/json.hh"
+#include "common/status.hh"
 #include "trace/profile_cache.hh"
 #include "trace/trace_workload.hh"
 #include "workload/workload.hh"
@@ -183,6 +189,51 @@ loadAllProfiles(const cli::ParsedArgs &args,
         return out;
     }
     return loadAllProfiles(opts, args.jobs());
+}
+
+/** json::writeFile() for a harness with no Error handler of its
+ * own: false after printing "error: cannot write PATH". */
+inline bool
+writeJson(const std::string &path, std::string_view text)
+{
+    try {
+        json::writeFile(path, text);
+        return true;
+    } catch (const Error &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return false;
+    }
+}
+
+/**
+ * A floors file: `name value...` lines with @p columns values each,
+ * blank and `#` lines skipped. Raises on an unreadable file or a
+ * malformed line; @p want spells out a line for that message.
+ */
+inline std::map<std::string, std::vector<double>>
+loadFloors(const std::string &path, std::size_t columns,
+           const std::string &want)
+{
+    std::ifstream in(path);
+    if (!in)
+        tpcp_raise("cannot read floors file ", path);
+    std::map<std::string, std::vector<double>> floors;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string name;
+        std::vector<double> values(columns);
+        ls >> name;
+        for (double &v : values)
+            ls >> v;
+        if (!ls)
+            tpcp_raise("floors file ", path, ": malformed line '",
+                       line, "' (want: ", want, ")");
+        floors[name] = values;
+    }
+    return floors;
 }
 
 /** Arithmetic mean of a vector (0 when empty). */

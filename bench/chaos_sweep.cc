@@ -55,6 +55,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/injector.hh"
 #include "serve/migration.hh"
@@ -74,6 +75,16 @@ struct Metric
     std::string name;
     double value = 0.0;
 };
+
+std::string
+toJson(const Metric &m)
+{
+    return json::Object(json::Real::G6)
+        .field("cell", m.cell)
+        .field("metric", m.name)
+        .field("value", m.value)
+        .str();
+}
 
 /** Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 = equal
  * shares, 1/n = one tenant took everything. */
@@ -543,28 +554,6 @@ runCheckpointChaosCell()
              conservation(c, pushed)}};
 }
 
-std::map<std::string, double>
-loadFloors(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        tpcp_raise("cannot read floors file ", path);
-    std::map<std::string, double> floors;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string metric;
-        double value = 0.0;
-        if (!(ls >> metric >> value))
-            tpcp_raise("floors file ", path, ": malformed line '",
-                       line, "' (want: metric min_value)");
-        floors[metric] = value;
-    }
-    return floors;
-}
-
 } // namespace
 
 int
@@ -622,30 +611,20 @@ main(int argc, char **argv)
                   << " -> resilient jain " << res_jain << "\n";
 
         if (json_path != "-") {
-            std::ofstream out(json_path);
-            if (!out)
-                tpcp_raise("cannot write ", json_path);
-            out << "[\n";
-            for (std::size_t i = 0; i < metrics.size(); ++i)
-                out << "  {\"cell\": \"" << metrics[i].cell
-                    << "\", \"metric\": \"" << metrics[i].name
-                    << "\", \"value\": " << metrics[i].value << "}"
-                    << (i + 1 < metrics.size() ? "," : "") << "\n";
-            out << "]\n";
-            if (!out.flush())
-                tpcp_raise("cannot write ", json_path);
+            json::writeFile(json_path, json::lines(metrics));
             std::cout << "wrote " << metrics.size()
                       << " metrics to " << json_path << "\n";
         }
 
         if (args.has("floors")) {
-            std::map<std::string, double> floors =
-                loadFloors(args.get("floors", ""));
+            const auto floors = bench::loadFloors(
+                args.get("floors", ""), 1, "metric min_value");
             std::map<std::string, double> byName;
             for (const Metric &m : metrics)
                 byName[m.name] = m.value;
             unsigned violations = 0;
-            for (const auto &[metric, floor] : floors) {
+            for (const auto &[metric, values] : floors) {
+                const double floor = values[0];
                 auto it = byName.find(metric);
                 if (it == byName.end())
                     tpcp_raise("floors file names unknown metric '",

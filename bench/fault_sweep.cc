@@ -25,6 +25,7 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 
@@ -129,14 +130,11 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
 
-        std::string json = args.get("json", "");
-        if (!json.empty() && json != "-") {
-            if (!fault::writeJson(json, reports)) {
-                std::cerr << "error: cannot write " << json << "\n";
-                return 1;
-            }
+        std::string json_path = args.get("json", "");
+        if (!json_path.empty() && json_path != "-") {
+            json::writeFile(json_path, json::lines(reports));
             std::cout << "wrote " << reports.size()
-                      << " reports to " << json << "\n";
+                      << " reports to " << json_path << "\n";
         }
     } catch (const Error &e) {
         std::cerr << "error: " << e.what() << "\n";

@@ -23,7 +23,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "analysis/experiment.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "pred/eval.hh"
 
 using namespace tpcp;
@@ -46,27 +46,21 @@ const std::vector<std::string> kSpecNames = {
     "markov1", "rle2", "top4markov1", "last4markov1", "tage",
 };
 
-/** Fixed-precision double for bit-identical JSON at any --jobs. */
+/** One predictor's outcome counts. Rates are fixed-precision, so
+ * the JSON is bit-identical at any --jobs. */
 std::string
-jnum(double v)
+toJson(const ChangeOutcomeStats &s)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
-void
-jsonStats(std::ostream &os, const ChangeOutcomeStats &s)
-{
-    os << "{\"changes\": " << s.changes
-       << ", \"correct_rate\": " << jnum(s.correctRate())
-       << ", \"conf_correct_rate\": "
-       << jnum(s.confidentCorrectRate())
-       << ", \"conf_correct\": " << s.confCorrect
-       << ", \"unconf_correct\": " << s.unconfCorrect
-       << ", \"tag_miss\": " << s.tagMiss
-       << ", \"unconf_incorrect\": " << s.unconfIncorrect
-       << ", \"conf_incorrect\": " << s.confIncorrect << "}";
+    return json::Object(json::Real::F6)
+        .field("changes", s.changes)
+        .field("correct_rate", s.correctRate())
+        .field("conf_correct_rate", s.confidentCorrectRate())
+        .field("conf_correct", s.confCorrect)
+        .field("unconf_correct", s.unconfCorrect)
+        .field("tag_miss", s.tagMiss)
+        .field("unconf_incorrect", s.unconfIncorrect)
+        .field("conf_incorrect", s.confIncorrect)
+        .str();
 }
 
 /** Coverage of the confidence gate: confident fraction of changes.
@@ -203,39 +197,44 @@ main(int argc, char **argv)
     sweep.print(std::cout);
 
     if (json_path != "-") {
-        std::ofstream os(json_path);
-        if (!os) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
+        auto workload = [&](std::size_t w) {
+            json::Object preds;
+            for (std::size_t p = 0; p < P; ++p)
+                preds.raw(kSpecNames[p], toJson(cells[w * P + p]));
+            return json::Object(json::Real::F6)
+                .field("workload", names[w])
+                .field("perfect_markov1", perfect[w].coverage())
+                .raw("predictors", preds.str())
+                .str();
+        };
+        auto setting = [&](std::size_t i) {
+            return json::Object(json::Real::F6)
+                .field("conf_threshold", tageThresholds[i])
+                .field("coverage", coverage(tageSweep[i]))
+                .field("conf_accuracy", confAccuracy(tageSweep[i]))
+                .field("correct_rate", tageSweep[i].correctRate())
+                .str();
+        };
+        const std::string sweep_json =
+            json::Object()
+                .wrap("\n    ")
+                .raw("tage", json::array(tageThresholds.size(), setting))
+                .str("\n  }");
+        const std::string aggregate = json::Object()
+                                          .raw("rle2", toJson(aggRle2))
+                                          .raw("tage", toJson(aggTage))
+                                          .str();
+        if (!bench::writeJson(
+                json_path,
+                json::Object()
+                    .wrap("\n  ")
+                    .raw("workloads", json::array(W, workload, "    "))
+                    .wrap("\n  ")
+                    .raw("sweep", sweep_json)
+                    .wrap("\n  ")
+                    .raw("aggregate", aggregate)
+                    .str("\n}\n")))
             return 1;
-        }
-        os << "{\n  \"workloads\": [\n";
-        for (std::size_t w = 0; w < W; ++w) {
-            os << "    {\"workload\": \"" << names[w]
-               << "\", \"perfect_markov1\": "
-               << jnum(perfect[w].coverage())
-               << ", \"predictors\": {";
-            for (std::size_t p = 0; p < P; ++p) {
-                os << (p ? ", " : "") << "\"" << kSpecNames[p]
-                   << "\": ";
-                jsonStats(os, cells[w * P + p]);
-            }
-            os << "}}" << (w + 1 < W ? "," : "") << "\n";
-        }
-        os << "  ],\n  \"sweep\": {\n    \"tage\": [";
-        for (std::size_t i = 0; i < tageThresholds.size(); ++i)
-            os << (i ? ", " : "") << "{\"conf_threshold\": "
-               << tageThresholds[i] << ", \"coverage\": "
-               << jnum(coverage(tageSweep[i]))
-               << ", \"conf_accuracy\": "
-               << jnum(confAccuracy(tageSweep[i]))
-               << ", \"correct_rate\": "
-               << jnum(tageSweep[i].correctRate()) << "}";
-        os << "]\n  },\n  \"aggregate\": {\"rle2\": ";
-        jsonStats(os, aggRle2);
-        os << ", \"tage\": ";
-        jsonStats(os, aggTage);
-        os << "}\n}\n";
         std::cout << "\nwrote " << json_path << "\n";
     }
 
@@ -245,9 +244,10 @@ main(int argc, char **argv)
     if (args.has("check-improve") &&
         aggTage.correctRate() <= aggRle2.correctRate()) {
         std::cerr << "FAIL: TAGE ("
-                  << jnum(aggTage.correctRate())
+                  << json::real(aggTage.correctRate(), json::Real::F6)
                   << ") does not beat RLE-2 ("
-                  << jnum(aggRle2.correctRate()) << ")\n";
+                  << json::real(aggRle2.correctRate(), json::Real::F6)
+                  << ")\n";
         return 1;
     }
     return 0;

@@ -21,6 +21,7 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "sample/report.hh"
 #include "sample/selector.hh"
 
@@ -160,11 +161,8 @@ main(int argc, char **argv)
     }
 
     if (json_path != "-") {
-        if (!sample::writeJson(json_path, all)) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
+        if (!bench::writeJson(json_path, json::lines(all)))
             return 1;
-        }
         std::cerr << "[samp_error] wrote " << all.size()
                   << " reports to " << json_path << "\n";
     }

@@ -29,14 +29,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "serve/service.hh"
 
 using namespace tpcp;
@@ -47,6 +48,7 @@ namespace
 struct SweepPoint
 {
     unsigned tenants = 0;
+    unsigned producers = 0;
     unsigned workers = 0;
     std::uint64_t produced = 0;
     std::uint64_t delivered = 0;
@@ -99,6 +101,7 @@ runPoint(unsigned tenants, unsigned producers, unsigned jobs,
 
     SweepPoint pt;
     pt.tenants = tenants;
+    pt.producers = producers;
     pt.workers = loop.numWorkers();
     for (const serve::ProducerCounters &c : pcs) {
         pt.produced += c.pushed;
@@ -134,6 +137,21 @@ runPoint(unsigned tenants, unsigned producers, unsigned jobs,
     return pt;
 }
 
+std::string
+toJson(const SweepPoint &pt)
+{
+    return json::Object(json::Real::G6)
+        .field("tenants", pt.tenants)
+        .field("producers", pt.producers)
+        .field("workers", pt.workers)
+        .field("packets", pt.delivered)
+        .field("park_events", pt.parkEvents)
+        .field("evictions", pt.evictions)
+        .field("elapsed_sec", pt.elapsedSec)
+        .field("packets_per_sec", pt.packetsPerSec)
+        .str();
+}
+
 } // namespace
 
 int
@@ -157,6 +175,14 @@ main(int argc, char **argv)
     std::uint64_t packets = args.getU64("packets", 200);
     const unsigned producers = args.getU32("producers", 2);
     const unsigned num_streams = args.getU32("streams", 4);
+    const std::pair<const char *, std::uint64_t> counts[] = {
+        {"packets", packets}, {"producers", producers},
+        {"streams", num_streams}};
+    for (const auto &[flag, value] : counts)
+        if (value == 0) {
+            std::cerr << "error: --" << flag << " must be >= 1\n";
+            return 2;
+        }
 
     pred::PhaseTrackerConfig tcfg;
     std::vector<serve::EncodedStream> streams;
@@ -206,29 +232,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        std::ofstream out(json);
-        if (!out) {
-            std::cerr << "error: cannot write " << json << "\n";
+    const std::string json_path = args.get("json", "");
+    if (!json_path.empty() && json_path != "-") {
+        if (!bench::writeJson(json_path, json::lines(points)))
             return 1;
-        }
-        out << "[\n";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const SweepPoint &pt = points[i];
-            out << "  {\"tenants\": " << pt.tenants
-                << ", \"producers\": " << producers
-                << ", \"workers\": " << pt.workers
-                << ", \"packets\": " << pt.delivered
-                << ", \"park_events\": " << pt.parkEvents
-                << ", \"evictions\": " << pt.evictions
-                << ", \"elapsed_sec\": " << pt.elapsedSec
-                << ", \"packets_per_sec\": " << pt.packetsPerSec
-                << (i + 1 < points.size() ? "},\n" : "}\n");
-        }
-        out << "]\n";
         std::cout << "wrote " << points.size() << " points to "
-                  << json << "\n";
+                  << json_path << "\n";
     }
 
     if (args.has("min-rate")) {

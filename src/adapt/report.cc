@@ -1,10 +1,9 @@
 #include "adapt/report.hh"
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "analysis/experiment.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/status.hh"
 
@@ -78,85 +77,14 @@ AdaptReport::slowdown() const
 namespace
 {
 
-void
-appendEscaped(std::string &out, const std::string &s)
+std::string
+toJson(const RunTotals &t)
 {
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // Matches sample/report.cc: enough digits for byte-identical
-    // reruns without full round-trip noise.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::uint64_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendTotals(std::string &out, const char *key, const RunTotals &t)
-{
-    out += '"';
-    out += key;
-    out += "\": {";
-    appendField(out, "cycles", t.cycles);
-    appendField(out, "energy", t.energy);
-    appendField(out, "edp", t.edp, true);
-    out += "}, ";
+    return json::Object()
+        .field("cycles", t.cycles)
+        .field("energy", t.energy)
+        .field("edp", t.edp)
+        .str();
 }
 
 } // namespace
@@ -164,85 +92,43 @@ appendTotals(std::string &out, const char *key, const RunTotals &t)
 std::string
 toJson(const AdaptReport &r)
 {
-    std::string out = "{";
-    appendField(out, "workload", r.workload);
-    appendField(out, "policy", r.policy);
-    appendField(out, "lattice", r.lattice);
-    appendField(out, "num_configs",
-                static_cast<std::uint64_t>(r.numConfigs));
-    appendField(out, "intervals",
-                static_cast<std::uint64_t>(r.intervals));
-    appendField(out, "num_phases",
-                static_cast<std::uint64_t>(r.numPhases));
-    appendField(out, "switches", r.switches.total());
-    appendField(out, "switches_predicted", r.switches.predicted);
-    appendField(out, "switches_exploration",
-                r.switches.exploration);
-    appendField(out, "switches_reactive", r.switches.reactive);
-    appendField(out, "penalty_cycles",
-                static_cast<std::uint64_t>(
-                    r.switches.penaltyCycles));
-    appendField(out, "phase_changes", r.phaseChanges);
-    appendField(out, "unanticipated_changes",
-                r.unanticipatedChanges);
-    appendField(out, "length_gate_skips", r.lengthGateSkips);
-    appendTotals(out, "policy_totals", r.policyTotals);
-    appendTotals(out, "always_big", r.alwaysBig);
-    appendTotals(out, "static_best", r.staticBest);
-    appendField(out, "static_best_config", r.staticBestConfig);
-    appendTotals(out, "oracle", r.oracle);
-    appendField(out, "edp_savings_policy",
-                r.edpSavings(r.policyTotals));
-    appendField(out, "edp_savings_static",
-                r.edpSavings(r.staticBest));
-    appendField(out, "edp_savings_oracle", r.edpSavings(r.oracle));
-    appendField(out, "oracle_fraction", r.oracleFraction());
-    appendField(out, "slowdown", r.slowdown());
-    out += "\"per_phase\": [";
-    for (std::size_t i = 0; i < r.perPhase.size(); ++i) {
-        const PhaseChoice &pc = r.perPhase[i];
-        out += "{";
-        appendField(out, "phase",
-                    static_cast<std::uint64_t>(pc.phase));
-        appendField(out, "intervals",
-                    static_cast<std::uint64_t>(pc.intervals));
-        appendField(out, "policy_config",
-                    static_cast<std::uint64_t>(pc.policyConfig));
-        appendField(out, "oracle_config",
-                    static_cast<std::uint64_t>(pc.oracleConfig),
-                    true);
-        out += "}";
-        if (i + 1 < r.perPhase.size())
-            out += ", ";
-    }
-    out += "]}";
-    return out;
-}
-
-std::string
-toJson(const std::vector<AdaptReport> &reports)
-{
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<AdaptReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    const std::string per_phase =
+        json::array(r.perPhase.size(), [&](std::size_t i) {
+            const PhaseChoice &pc = r.perPhase[i];
+            return json::Object()
+                .field("phase", pc.phase)
+                .field("intervals", pc.intervals)
+                .field("policy_config", pc.policyConfig)
+                .field("oracle_config", pc.oracleConfig)
+                .str();
+        });
+    return json::Object()
+        .field("workload", r.workload)
+        .field("policy", r.policy)
+        .field("lattice", r.lattice)
+        .field("num_configs", r.numConfigs)
+        .field("intervals", r.intervals)
+        .field("num_phases", r.numPhases)
+        .field("switches", r.switches.total())
+        .field("switches_predicted", r.switches.predicted)
+        .field("switches_exploration", r.switches.exploration)
+        .field("switches_reactive", r.switches.reactive)
+        .field("penalty_cycles", r.switches.penaltyCycles)
+        .field("phase_changes", r.phaseChanges)
+        .field("unanticipated_changes", r.unanticipatedChanges)
+        .field("length_gate_skips", r.lengthGateSkips)
+        .raw("policy_totals", toJson(r.policyTotals))
+        .raw("always_big", toJson(r.alwaysBig))
+        .raw("static_best", toJson(r.staticBest))
+        .field("static_best_config", r.staticBestConfig)
+        .raw("oracle", toJson(r.oracle))
+        .field("edp_savings_policy", r.edpSavings(r.policyTotals))
+        .field("edp_savings_static", r.edpSavings(r.staticBest))
+        .field("edp_savings_oracle", r.edpSavings(r.oracle))
+        .field("oracle_fraction", r.oracleFraction())
+        .field("slowdown", r.slowdown())
+        .raw("per_phase", per_phase)
+        .str();
 }
 
 std::vector<trace::IntervalProfile>

@@ -90,15 +90,9 @@ struct AdaptReport
     double slowdown() const;
 };
 
-/** One report as a JSON object (stable key order). */
+/** One report as a JSON object (stable key order);
+ * json::lines() lays out a list of them. */
 std::string toJson(const AdaptReport &report);
-
-/** A report list as a JSON array, one object per line. */
-std::string toJson(const std::vector<AdaptReport> &reports);
-
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<AdaptReport> &reports);
 
 /**
  * Loads (or simulates and caches) one interval profile per lattice

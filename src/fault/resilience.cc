@@ -1,10 +1,9 @@
 #include "fault/resilience.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "adapt/report.hh"
+#include "common/json.hh"
 #include "common/state_io.hh"
 #include "common/status.hh"
 #include "pred/phase_tracker.hh"
@@ -330,160 +329,43 @@ runResilience(const trace::IntervalProfile &profile,
     return report;
 }
 
-namespace
-{
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // Matches the sample/adapt JSON writers: enough digits that
-    // byte-identical runs produce byte-identical JSON.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::uint64_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, bool value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += value ? "true" : "false";
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
-
 std::string
 toJson(const ResilienceReport &r)
 {
-    std::string out = "{";
-    appendField(out, "workload", r.workload);
-    appendField(out, "target", r.target);
-    appendField(out, "rate", r.rate);
-    appendField(out, "mitigated", r.mitigated);
-    appendField(out, "intervals", r.intervals);
-    appendField(out, "faults_total", r.faults.total());
-    appendField(out, "faults_accum", r.faults.accumFlips);
-    appendField(out, "faults_signature", r.faults.signatureFlips);
-    appendField(out, "faults_metadata", r.faults.metadataFaults);
-    appendField(out, "faults_change_table",
-                r.faults.changeTableFaults);
-    appendField(out, "faults_length_table",
-                r.faults.lengthTableFaults);
-    appendField(out, "faults_input", r.faults.inputFaults);
-    appendField(out, "agreeing_intervals", r.agreeingIntervals);
-    appendField(out, "agreement", r.agreement());
-    appendField(out, "next_phase_acc_base", r.nextPhaseAccBase);
-    appendField(out, "next_phase_acc_faulty", r.nextPhaseAccFaulty);
-    appendField(out, "next_phase_delta", r.nextPhaseDelta());
-    appendField(out, "change_acc_base", r.changeAccBase);
-    appendField(out, "change_acc_faulty", r.changeAccFaulty);
-    appendField(out, "change_delta", r.changeDelta());
-    appendField(out, "length_acc_base", r.lengthAccBase);
-    appendField(out, "length_acc_faulty", r.lengthAccFaulty);
-    appendField(out, "length_delta", r.lengthDelta());
-    appendField(out, "repairs", r.repairs);
-    appendField(out, "quarantines", r.quarantines);
-    appendField(out, "ecc_corrections", r.eccCorrections);
-    appendField(out, "rejected_cpi_samples", r.rejectedCpiSamples);
-    appendField(out, "adapt_measured", r.adaptMeasured);
-    appendField(out, "adapt_oracle_frac_base",
-                r.adaptOracleFracBase);
-    appendField(out, "adapt_oracle_frac_faulty",
-                r.adaptOracleFracFaulty);
-    appendField(out, "adapt_oracle_delta", r.adaptOracleDelta());
-    appendField(out, "checkpointed", r.checkpointed, true);
-    out += "}";
-    return out;
-}
-
-std::string
-toJson(const std::vector<ResilienceReport> &reports)
-{
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<ResilienceReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    return json::Object()
+        .field("workload", r.workload)
+        .field("target", r.target)
+        .field("rate", r.rate)
+        .field("mitigated", r.mitigated)
+        .field("intervals", r.intervals)
+        .field("faults_total", r.faults.total())
+        .field("faults_accum", r.faults.accumFlips)
+        .field("faults_signature", r.faults.signatureFlips)
+        .field("faults_metadata", r.faults.metadataFaults)
+        .field("faults_change_table", r.faults.changeTableFaults)
+        .field("faults_length_table", r.faults.lengthTableFaults)
+        .field("faults_input", r.faults.inputFaults)
+        .field("agreeing_intervals", r.agreeingIntervals)
+        .field("agreement", r.agreement())
+        .field("next_phase_acc_base", r.nextPhaseAccBase)
+        .field("next_phase_acc_faulty", r.nextPhaseAccFaulty)
+        .field("next_phase_delta", r.nextPhaseDelta())
+        .field("change_acc_base", r.changeAccBase)
+        .field("change_acc_faulty", r.changeAccFaulty)
+        .field("change_delta", r.changeDelta())
+        .field("length_acc_base", r.lengthAccBase)
+        .field("length_acc_faulty", r.lengthAccFaulty)
+        .field("length_delta", r.lengthDelta())
+        .field("repairs", r.repairs)
+        .field("quarantines", r.quarantines)
+        .field("ecc_corrections", r.eccCorrections)
+        .field("rejected_cpi_samples", r.rejectedCpiSamples)
+        .field("adapt_measured", r.adaptMeasured)
+        .field("adapt_oracle_frac_base", r.adaptOracleFracBase)
+        .field("adapt_oracle_frac_faulty", r.adaptOracleFracFaulty)
+        .field("adapt_oracle_delta", r.adaptOracleDelta())
+        .field("checkpointed", r.checkpointed)
+        .str();
 }
 
 } // namespace tpcp::fault

@@ -133,15 +133,9 @@ struct ResilienceReport
 ResilienceReport runResilience(const trace::IntervalProfile &profile,
                                const ResilienceOptions &opts);
 
-/** One report as a JSON object (stable key order). */
+/** One report as a JSON object (stable key order);
+ * json::lines() lays out a list of them. */
 std::string toJson(const ResilienceReport &report);
-
-/** A report list as a JSON array, one object per line. */
-std::string toJson(const std::vector<ResilienceReport> &reports);
-
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<ResilienceReport> &reports);
 
 } // namespace tpcp::fault
 

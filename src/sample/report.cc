@@ -1,9 +1,7 @@
 #include "sample/report.hh"
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/bitops.hh"
+#include "common/json.hh"
 #include "sample/estimator.hh"
 #include "sample/planner.hh"
 
@@ -28,132 +26,29 @@ SampleReport::speedupEquivalent() const
            static_cast<double>(sampled);
 }
 
-namespace
-{
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // %.10g prints shortest-ish stable decimals; enough digits that
-    // byte-identical runs produce byte-identical JSON without the
-    // noise of full round-trip precision.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::size_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
-
 std::string
 toJson(const SampleReport &r)
 {
-    std::string out = "{";
-    appendField(out, "workload", r.workload);
-    appendField(out, "selector", r.selector);
-    appendField(out, "phase_source", r.phaseSource);
-    appendField(out, "budget", r.budget);
-    appendField(out, "sampled", r.sampled);
-    appendField(out, "total_intervals", r.totalIntervals);
-    appendField(out, "phases_total", r.phasesTotal);
-    appendField(out, "phases_covered", r.phasesCovered);
-    appendField(out, "true_cpi", r.trueCpi);
-    appendField(out, "estimated_cpi", r.estimatedCpi);
-    appendField(out, "rel_error", r.relError);
-    appendField(out, "standard_error", r.standardError);
-    appendField(out, "jackknife_se", r.jackknifeSe);
-    appendField(out, "ci_low", r.ciLow);
-    appendField(out, "ci_high", r.ciHigh);
-    appendField(out, "predicted_rel_error", r.predictedRelError);
-    appendField(out, "sampled_fraction", r.sampledFraction());
-    appendField(out, "speedup_equivalent", r.speedupEquivalent(),
-                true);
-    out += "}";
-    return out;
-}
-
-std::string
-toJson(const std::vector<SampleReport> &reports)
-{
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<SampleReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    return json::Object()
+        .field("workload", r.workload)
+        .field("selector", r.selector)
+        .field("phase_source", r.phaseSource)
+        .field("budget", r.budget)
+        .field("sampled", r.sampled)
+        .field("total_intervals", r.totalIntervals)
+        .field("phases_total", r.phasesTotal)
+        .field("phases_covered", r.phasesCovered)
+        .field("true_cpi", r.trueCpi)
+        .field("estimated_cpi", r.estimatedCpi)
+        .field("rel_error", r.relError)
+        .field("standard_error", r.standardError)
+        .field("jackknife_se", r.jackknifeSe)
+        .field("ci_low", r.ciLow)
+        .field("ci_high", r.ciHigh)
+        .field("predicted_rel_error", r.predictedRelError)
+        .field("sampled_fraction", r.sampledFraction())
+        .field("speedup_equivalent", r.speedupEquivalent())
+        .str();
 }
 
 SampleReport

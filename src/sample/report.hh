@@ -51,15 +51,8 @@ struct SampleReport
 };
 
 /** One report as a JSON object (stable key order, no trailing
- * newline). */
+ * newline); json::lines() lays out a list of them. */
 std::string toJson(const SampleReport &report);
-
-/** A report list as a JSON array, one object per line. */
-std::string toJson(const std::vector<SampleReport> &reports);
-
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<SampleReport> &reports);
 
 /**
  * The end-to-end experiment: derive the phase-ID stream, select

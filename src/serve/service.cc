@@ -1,12 +1,10 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <type_traits>
 
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/injector.hh"
 #include "serve/migration.hh"
@@ -323,103 +321,80 @@ ServiceLoop::phaseStream(std::uint64_t tenant) const
 void
 ServiceLoop::writePhaseStreams(const std::string &dir) const
 {
-    std::filesystem::create_directories(dir);
-    for (std::uint64_t id : allTenantIds()) {
-        const std::string path =
-            dir + "/tenant_" + std::to_string(id) + ".phases";
-        std::ofstream out(path);
-        if (!out)
-            tpcp_raise("cannot write phase stream ", path);
-        for (PhaseId p : phaseStream(id))
-            out << p << '\n';
-    }
+    for (std::uint64_t id : allTenantIds())
+        writePhaseStream(dir, id, phaseStream(id));
 }
-
-namespace
-{
-
-/** Appends `"key": value` (integers exact, reals as %.6g). */
-template <typename T>
-void
-appendField(std::string &out, const char *key, T value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    if constexpr (std::is_floating_point_v<T>) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", value);
-        out += buf;
-    } else {
-        out += std::to_string(value);
-    }
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
 
 std::string
 toJson(const ServeReport &r)
 {
-    std::string out = "{\n  ";
-    appendField(out, "tenants", r.tenants);
-    appendField(out, "producers", r.producers);
-    appendField(out, "jobs", r.jobs);
-    appendField(out, "packets_produced", r.packetsProduced);
-    appendField(out, "packets_dropped", r.packetsDropped);
-    appendField(out, "park_events", r.parkEvents);
-    out += "\n  ";
-    appendField(out, "packets_delivered", r.service.packets);
-    appendField(out, "malformed_packets",
-                r.service.malformedPackets);
-    appendField(out, "rejected_packets", r.service.rejectedPackets);
-    appendField(out, "shed_packets", r.service.shedPackets);
-    appendField(out, "service_tenants", r.service.tenants);
-    appendField(out, "evictions", r.service.evictions);
-    appendField(out, "resumes", r.service.resumes);
-    appendField(out, "phase_switches", r.service.phaseSwitches);
-    appendField(out, "duplicate_seq", r.service.duplicateSeq);
-    appendField(out, "seq_gaps", r.service.seqGaps);
-    appendField(out, "lost_upstream", r.service.lostUpstream);
-    out += "\n  ";
-    appendField(out, "quarantines", r.service.quarantines);
-    appendField(out, "quarantine_drops", r.service.quarantineDrops);
-    appendField(out, "readmissions", r.service.readmissions);
-    appendField(out, "resume_failures", r.service.resumeFailures);
-    appendField(out, "drain_cycles", r.service.drainCycles);
-    out += "\n  ";
-    appendField(out, "elapsed_sec", r.elapsedSec);
-    appendField(out, "packets_per_sec", r.packetsPerSec);
-    out += "\"per_tenant\": [";
-    for (std::size_t i = 0; i < r.perTenant.size(); ++i) {
-        const ServeTenantReport &t = r.perTenant[i];
-        out += "\n    {";
-        appendField(out, "tenant", t.tenant);
-        appendField(out, "packets", t.c.packets);
-        appendField(out, "phase_switches", t.c.phaseSwitches);
-        appendField(out, "evictions", t.c.evictions);
-        appendField(out, "resumes", t.c.resumes);
-        appendField(out, "duplicate_seq", t.c.duplicateSeq);
-        appendField(out, "lost_upstream", t.c.lostUpstream);
-        appendField(out, "malformed_packets", t.c.malformedPackets);
-        appendField(out, "shed_packets", t.c.shedPackets);
-        appendField(out, "park_events", t.c.parkEvents);
-        appendField(out, "packets_dropped", t.c.packetsDropped);
-        appendField(out, "quarantines", t.c.quarantines);
-        appendField(out, "quarantine_drops", t.c.quarantineDrops);
-        appendField(out, "readmissions", t.c.readmissions);
-        appendField(out, "resume_failures", t.c.resumeFailures,
-                    true);
-        out += '}';
-        if (i + 1 < r.perTenant.size())
-            out += ',';
-    }
-    if (!r.perTenant.empty())
-        out += "\n  ";
-    out += "]\n}\n";
-    return out;
+    const std::string per_tenant =
+        json::array(r.perTenant.size(), [&](std::size_t i) {
+            const ServeTenantReport &t = r.perTenant[i];
+            return json::Object()
+                .field("tenant", t.tenant)
+                .field("packets", t.c.packets)
+                .field("phase_switches", t.c.phaseSwitches)
+                .field("evictions", t.c.evictions)
+                .field("resumes", t.c.resumes)
+                .field("duplicate_seq", t.c.duplicateSeq)
+                .field("lost_upstream", t.c.lostUpstream)
+                .field("malformed_packets", t.c.malformedPackets)
+                .field("shed_packets", t.c.shedPackets)
+                .field("park_events", t.c.parkEvents)
+                .field("packets_dropped", t.c.packetsDropped)
+                .field("quarantines", t.c.quarantines)
+                .field("quarantine_drops", t.c.quarantineDrops)
+                .field("readmissions", t.c.readmissions)
+                .field("resume_failures", t.c.resumeFailures)
+                .str();
+        }, "    ");
+    // The pinned layout keeps the space of ", " before each line
+    // break and writes an empty per-tenant list on one line.
+    const ServeCounters &s = r.service;
+    return json::Object(json::Real::G6)
+        .wrap("\n  ")
+        .field("tenants", r.tenants)
+        .field("producers", r.producers)
+        .field("jobs", r.jobs)
+        .field("packets_produced", r.packetsProduced)
+        .field("packets_dropped", r.packetsDropped)
+        .field("park_events", r.parkEvents)
+        .wrap(" \n  ")
+        .field("packets_delivered", s.packets)
+        .field("malformed_packets", s.malformedPackets)
+        .field("rejected_packets", s.rejectedPackets)
+        .field("shed_packets", s.shedPackets)
+        .field("service_tenants", s.tenants)
+        .field("evictions", s.evictions)
+        .field("resumes", s.resumes)
+        .field("phase_switches", s.phaseSwitches)
+        .field("duplicate_seq", s.duplicateSeq)
+        .field("seq_gaps", s.seqGaps)
+        .field("lost_upstream", s.lostUpstream)
+        .wrap(" \n  ")
+        .field("quarantines", s.quarantines)
+        .field("quarantine_drops", s.quarantineDrops)
+        .field("readmissions", s.readmissions)
+        .field("resume_failures", s.resumeFailures)
+        .field("drain_cycles", s.drainCycles)
+        .wrap(" \n  ")
+        .field("elapsed_sec", r.elapsedSec)
+        .field("packets_per_sec", r.packetsPerSec)
+        .raw("per_tenant", r.perTenant.empty() ? "[]" : per_tenant)
+        .str("\n}\n");
+}
+
+void
+writePhaseStream(const std::string &dir, std::uint64_t tenant,
+                 const std::vector<PhaseId> &phases)
+{
+    std::filesystem::create_directories(dir);
+    std::string text;
+    for (PhaseId p : phases)
+        text += std::to_string(p) + '\n';
+    json::writeFile(dir + "/tenant_" + std::to_string(tenant) + ".phases",
+                    text);
 }
 
 std::vector<PhaseId>
@@ -439,16 +414,6 @@ batchPhaseStream(const EncodedStream &stream,
                           .classification.phase);
     }
     return out;
-}
-
-bool
-writeJson(const std::string &path, const ServeReport &r)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(r);
-    return file.good();
 }
 
 } // namespace tpcp::serve

@@ -122,7 +122,15 @@ struct ServeReport
 };
 
 std::string toJson(const ServeReport &r);
-bool writeJson(const std::string &path, const ServeReport &r);
+
+/**
+ * Writes @p phases as `<dir>/tenant_<tenant>.phases`, one decimal
+ * phase id per line, creating @p dir: the byte-level artifact CI
+ * diffs between the service and the batch path. Raises tpcp::Error
+ * when the file cannot be written.
+ */
+void writePhaseStream(const std::string &dir, std::uint64_t tenant,
+                      const std::vector<PhaseId> &phases);
 
 /**
  * The batch reference path: decodes @p stream and replays it through
@@ -224,11 +232,7 @@ class ServiceLoop
     const std::vector<PhaseId> &
     phaseStream(std::uint64_t tenant) const;
 
-    /**
-     * Writes each tenant's recorded phase-ID stream as
-     * `<dir>/tenant_<id>.phases` (one decimal phase id per line) —
-     * the byte-level artifact CI diffs against the batch path.
-     */
+    /** writePhaseStream() of every tenant's recorded stream. */
     void writePhaseStreams(const std::string &dir) const;
 
   private:

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 
+#include "common/json.hh"
 #include "common/status.hh"
 #include "adapt/controller.hh"
 #include "adapt/report.hh"
@@ -184,6 +185,62 @@ TEST(AdaptReport, JsonCarriesTheHeadlineNumbers)
     EXPECT_NE(json.find("\"per_phase\": ["), std::string::npos);
     // Serialization is deterministic.
     EXPECT_EQ(json, toJson(r));
+}
+
+// The bytes below were recorded from the per-report writers that
+// preceded common/json; the shared writer must reproduce them.
+TEST(AdaptReport, JsonBytesArePinned)
+{
+    AdaptReport r;
+    r.workload = "tab\there";
+    r.policy = "greedy";
+    r.lattice = "big/4";
+    r.numConfigs = 4;
+    r.intervals = 10;
+    r.numPhases = 2;
+    r.switches.predicted = 3;
+    r.switches.exploration = 1;
+    r.switches.reactive = 2;
+    r.switches.penaltyCycles = 500;
+    r.phaseChanges = 6;
+    r.unanticipatedChanges = 1;
+    r.lengthGateSkips = 2;
+    // %.10g and %.6g print these differently.
+    r.policyTotals = {1234567.891, 2.0 / 3.0, 823045.2};
+    r.alwaysBig = {1000000.0, 1.0, 1000000.0};
+    r.staticBest = {1100000.0, 0.8, 880000.0};
+    r.staticBestConfig = "small";
+    r.oracle = {1050000.0, 0.7, 735000.0};
+    const std::string head =
+        "{\"workload\": \"tab\\there\", \"policy\": \"greedy\", "
+        "\"lattice\": \"big/4\", \"num_configs\": 4, "
+        "\"intervals\": 10, \"num_phases\": 2, \"switches\": 6, "
+        "\"switches_predicted\": 3, \"switches_exploration\": 1, "
+        "\"switches_reactive\": 2, \"penalty_cycles\": 500, "
+        "\"phase_changes\": 6, \"unanticipated_changes\": 1, "
+        "\"length_gate_skips\": 2, \"policy_totals\": "
+        "{\"cycles\": 1234567.891, \"energy\": 0.6666666667, "
+        "\"edp\": 823045.2}, \"always_big\": {\"cycles\": 1000000, "
+        "\"energy\": 1, \"edp\": 1000000}, \"static_best\": "
+        "{\"cycles\": 1100000, \"energy\": 0.8, \"edp\": 880000}, "
+        "\"static_best_config\": \"small\", \"oracle\": "
+        "{\"cycles\": 1050000, \"energy\": 0.7, \"edp\": 735000}, "
+        "\"edp_savings_policy\": 0.1769548, "
+        "\"edp_savings_static\": 0.12, \"edp_savings_oracle\": 0.265, "
+        "\"oracle_fraction\": 0.6677539623, "
+        "\"slowdown\": 0.234567891, \"per_phase\": ";
+    EXPECT_EQ(toJson(r), head + "[]}");
+    r.perPhase.push_back({1, 6, 0, 2});
+    r.perPhase.push_back({0, 4, 1, 1});
+    const std::string two_phases =
+        head +
+        "[{\"phase\": 1, \"intervals\": 6, \"policy_config\": 0, "
+        "\"oracle_config\": 2}, {\"phase\": 0, \"intervals\": 4, "
+        "\"policy_config\": 1, \"oracle_config\": 1}]}";
+    EXPECT_EQ(toJson(r), two_phases);
+    EXPECT_EQ(json::lines(std::vector<AdaptReport>{}), "[\n]\n");
+    EXPECT_EQ(json::lines(std::vector<AdaptReport>{r, r}),
+              "[\n  " + two_phases + ",\n  " + two_phases + "\n]\n");
 }
 
 TEST(AdaptReport, PresetsAreNamedAndValidated)

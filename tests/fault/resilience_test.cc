@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 #include "trace/interval_profile.hh"
@@ -205,4 +206,48 @@ TEST(Resilience, CorruptCheckpointRejectedOnResume)
     resume.resume = true;
     EXPECT_THROW(runResilience(p, resume), Error);
     std::remove(ckpt.c_str());
+}
+
+// The bytes below were recorded from the per-report writer that
+// preceded common/json; the shared writer must reproduce them.
+TEST(Resilience, JsonBytesArePinned)
+{
+    ResilienceReport r;
+    r.workload = "mcf\\x";
+    r.target = "signature";
+    r.rate = 0.0123456789;
+    r.mitigated = true;
+    r.intervals = 100;
+    r.agreeingIntervals = 97;
+    r.faults.accumFlips = 3;
+    r.faults.signatureFlips = 2;
+    r.nextPhaseAccBase = 0.9;
+    r.nextPhaseAccFaulty = 0.87654321;
+    r.lengthAccBase = 1.0;
+    r.lengthAccFaulty = 1.0 / 3.0;
+    r.repairs = 4;
+    r.adaptOracleFracBase = 0.95;
+    r.adaptOracleFracFaulty = 0.9123456789;
+    const std::string one =
+        "{\"workload\": \"mcf\\\\x\", \"target\": \"signature\", "
+        "\"rate\": 0.0123456789, \"mitigated\": true, "
+        "\"intervals\": 100, \"faults_total\": 5, \"faults_accum\": 3, "
+        "\"faults_signature\": 2, \"faults_metadata\": 0, "
+        "\"faults_change_table\": 0, \"faults_length_table\": 0, "
+        "\"faults_input\": 0, \"agreeing_intervals\": 97, "
+        "\"agreement\": 0.97, \"next_phase_acc_base\": 0.9, "
+        "\"next_phase_acc_faulty\": 0.87654321, "
+        "\"next_phase_delta\": 0.02345679, \"change_acc_base\": 0, "
+        "\"change_acc_faulty\": 0, \"change_delta\": 0, "
+        "\"length_acc_base\": 1, \"length_acc_faulty\": 0.3333333333, "
+        "\"length_delta\": 0.6666666667, \"repairs\": 4, "
+        "\"quarantines\": 0, \"ecc_corrections\": 0, "
+        "\"rejected_cpi_samples\": 0, \"adapt_measured\": false, "
+        "\"adapt_oracle_frac_base\": 0.95, "
+        "\"adapt_oracle_frac_faulty\": 0.9123456789, "
+        "\"adapt_oracle_delta\": 0.0376543211, \"checkpointed\": false}";
+    EXPECT_EQ(toJson(r), one);
+    EXPECT_EQ(json::lines(std::vector<ResilienceReport>{}), "[\n]\n");
+    EXPECT_EQ(json::lines(std::vector<ResilienceReport>{r, r}),
+              "[\n  " + one + ",\n  " + one + "\n]\n");
 }

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
+#include "common/status.hh"
 #include "sample/report.hh"
 #include "sample_test_util.hh"
 
@@ -55,66 +57,73 @@ mixedCells()
 
 } // namespace
 
+// The JSON bytes below were recorded from the per-report writer that
+// preceded common/json; the shared writer must reproduce them.
 TEST(Report, JsonHasStableKeyOrderAndValues)
 {
-    std::string json = toJson(sampleReport());
-    EXPECT_EQ(json.find("{\"workload\": \"gcc/1\""), 0u)
-        << json;
-    EXPECT_NE(json.find("\"selector\": \"stratified\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"budget\": 8"), std::string::npos);
-    EXPECT_NE(json.find("\"true_cpi\": 1.5"), std::string::npos);
-    EXPECT_NE(json.find("\"sampled_fraction\": 0.07"),
-              std::string::npos);
-    // speedup = 100/7; the last field carries no trailing comma.
-    EXPECT_NE(json.find("\"speedup_equivalent\": 14.28571429}"),
-              std::string::npos)
-        << json;
-    std::size_t wk = json.find("\"workload\"");
-    std::size_t sel = json.find("\"selector\"");
-    std::size_t spd = json.find("\"speedup_equivalent\"");
-    EXPECT_LT(wk, sel);
-    EXPECT_LT(sel, spd);
+    EXPECT_EQ(toJson(sampleReport()),
+              "{\"workload\": \"gcc/1\", \"selector\": \"stratified\", "
+              "\"phase_source\": \"online\", \"budget\": 8, "
+              "\"sampled\": 7, \"total_intervals\": 100, "
+              "\"phases_total\": 5, \"phases_covered\": 4, "
+              "\"true_cpi\": 1.5, \"estimated_cpi\": 1.53, "
+              "\"rel_error\": 0.02, \"standard_error\": 0, "
+              "\"jackknife_se\": 0, \"ci_low\": 0, \"ci_high\": 0, "
+              "\"predicted_rel_error\": 0, \"sampled_fraction\": 0.07, "
+              "\"speedup_equivalent\": 14.28571429}");
 }
 
 TEST(Report, JsonEscapesStrings)
 {
     SampleReport r = sampleReport();
-    r.workload = "we\"ird\\name\n";
-    std::string json = toJson(r);
-    EXPECT_NE(json.find("\"we\\\"ird\\\\name\\n\""),
-              std::string::npos)
-        << json;
+    // A quote, a backslash, a newline and a control byte.
+    r.workload = "we\"ird\\name\n\x01";
+    // %.10g and %.6g print these differently.
+    r.trueCpi = 1.23456789012;
+    r.standardError = 1e-7;
+    r.jackknifeSe = 0.125;
+    r.ciLow = -0.5;
+    r.ciHigh = 2.0 / 3.0;
+    r.predictedRelError = 12345678.9;
+    EXPECT_EQ(toJson(r),
+              "{\"workload\": \"we\\\"ird\\\\name\\n\\u0001\", "
+              "\"selector\": \"stratified\", \"phase_source\": \"online\", "
+              "\"budget\": 8, \"sampled\": 7, \"total_intervals\": 100, "
+              "\"phases_total\": 5, \"phases_covered\": 4, "
+              "\"true_cpi\": 1.23456789, \"estimated_cpi\": 1.53, "
+              "\"rel_error\": 0.02, \"standard_error\": 1e-07, "
+              "\"jackknife_se\": 0.125, \"ci_low\": -0.5, "
+              "\"ci_high\": 0.6666666667, "
+              "\"predicted_rel_error\": 12345678.9, "
+              "\"sampled_fraction\": 0.07, "
+              "\"speedup_equivalent\": 14.28571429}");
 }
 
 TEST(Report, JsonArrayShape)
 {
-    EXPECT_EQ(toJson(std::vector<SampleReport>{}), "[\n]\n");
-    std::string two =
-        toJson(std::vector<SampleReport>{sampleReport(),
-                                         sampleReport()});
-    EXPECT_EQ(two.rfind("[\n", 0), 0u);
-    EXPECT_EQ(two.substr(two.size() - 4), "}\n]\n")
-        << "no comma after the final element";
-    EXPECT_NE(two.find("},\n"), std::string::npos)
-        << "elements are comma-separated, one per line";
+    EXPECT_EQ(json::lines(std::vector<SampleReport>{}), "[\n]\n");
+    const std::string one = toJson(sampleReport());
+    EXPECT_EQ(json::lines(std::vector<SampleReport>{sampleReport(),
+                                                    sampleReport()}),
+              "[\n  " + one + ",\n  " + one + "\n]\n");
 }
 
 TEST(Report, WriteJsonRoundTripsThroughAFile)
 {
     std::vector<SampleReport> reports = {sampleReport()};
     std::string path = "report_test_tmp.json";
-    ASSERT_TRUE(writeJson(path, reports));
+    json::writeFile(path, json::lines(reports));
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), toJson(reports));
+    EXPECT_EQ(buf.str(), json::lines(reports));
     std::remove(path.c_str());
 }
 
 TEST(Report, WriteJsonFailsCleanlyOnBadPath)
 {
-    EXPECT_FALSE(writeJson("/nonexistent-dir/x/y.json", {}));
+    EXPECT_THROW(json::writeFile("/nonexistent-dir/x/y.json", "[]"),
+                 Error);
 }
 
 TEST(Report, RunSampledSimulationFillsEveryField)

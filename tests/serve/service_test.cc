@@ -370,20 +370,68 @@ TEST(TenantRegistry, FullRegistryWithoutCheckpointDirRaises)
     EXPECT_EQ(registry.counters().packets, 2u);
 }
 
+// The bytes below were recorded from the writer that preceded
+// common/json; the shared writer must reproduce them, including the
+// space before each line break and the one-line empty per_tenant.
 TEST(ServeReport, JsonContainsCountersAndTenants)
 {
     ServeReport rep;
     rep.tenants = 2;
     rep.producers = 1;
+    rep.jobs = 1;
     rep.packetsProduced = 100;
-    rep.service.packets = 100;
-    rep.perTenant.push_back({0, {}});
-    rep.perTenant.push_back({1, {}});
-    const std::string json = toJson(rep);
-    EXPECT_NE(json.find("\"packets_produced\": 100"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"packets_delivered\": 100"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"per_tenant\": ["), std::string::npos);
-    EXPECT_NE(json.find("\"tenant\": 1"), std::string::npos);
+    rep.packetsDropped = 1;
+    rep.parkEvents = 3;
+    rep.service.packets = 99;
+    rep.service.tenants = 2;
+    rep.service.drainCycles = 17;
+    // %.6g, not %.10g.
+    rep.elapsedSec = 0.0123456789;
+    rep.packetsPerSec = 8019.00001;
+    const std::string head =
+        "{\n"
+        "  \"tenants\": 2, \"producers\": 1, \"jobs\": 1, "
+        "\"packets_produced\": 100, \"packets_dropped\": 1, "
+        "\"park_events\": 3, \n"
+        "  \"packets_delivered\": 99, \"malformed_packets\": 0, "
+        "\"rejected_packets\": 0, \"shed_packets\": 0, "
+        "\"service_tenants\": 2, \"evictions\": 0, \"resumes\": 0, "
+        "\"phase_switches\": 0, \"duplicate_seq\": 0, "
+        "\"seq_gaps\": 0, \"lost_upstream\": 0, \n"
+        "  \"quarantines\": 0, \"quarantine_drops\": 0, "
+        "\"readmissions\": 0, \"resume_failures\": 0, "
+        "\"drain_cycles\": 17, \n"
+        "  \"elapsed_sec\": 0.0123457, \"packets_per_sec\": 8019, "
+        "\"per_tenant\": ";
+    EXPECT_EQ(toJson(rep), head + "[]\n}\n");
+    ServeTenantReport t0, t1;
+    t0.tenant = 0;
+    t0.c.packets = 50;
+    t0.c.phaseSwitches = 2;
+    t1.tenant = 1;
+    t1.c.packets = 49;
+    t1.c.packetsDropped = 1;
+    rep.perTenant = {t0, t1};
+    EXPECT_EQ(toJson(rep),
+              head +
+                  "[\n"
+                  "    {\"tenant\": 0, \"packets\": 50, "
+                  "\"phase_switches\": 2, \"evictions\": 0, "
+                  "\"resumes\": 0, \"duplicate_seq\": 0, "
+                  "\"lost_upstream\": 0, \"malformed_packets\": 0, "
+                  "\"shed_packets\": 0, \"park_events\": 0, "
+                  "\"packets_dropped\": 0, \"quarantines\": 0, "
+                  "\"quarantine_drops\": 0, \"readmissions\": 0, "
+                  "\"resume_failures\": 0},\n"
+                  "    {\"tenant\": 1, \"packets\": 49, "
+                  "\"phase_switches\": 0, \"evictions\": 0, "
+                  "\"resumes\": 0, \"duplicate_seq\": 0, "
+                  "\"lost_upstream\": 0, \"malformed_packets\": 0, "
+                  "\"shed_packets\": 0, \"park_events\": 0, "
+                  "\"packets_dropped\": 1, \"quarantines\": 0, "
+                  "\"quarantine_drops\": 0, \"readmissions\": 0, "
+                  "\"resume_failures\": 0}\n"
+                  "  ]\n"
+                  "}\n");
 }
+

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Regenerate the checked-in golden stdout captures in tests/golden/.
+# Regenerate the checked-in golden stdout captures (and the two sweep
+# JSON dumps) in tests/golden/.
 #
 # Run from the repository root after an *intentional* behavior
 # change (a model bugfix that legitimately moves the numbers), never
@@ -43,10 +44,12 @@ for h in $harnesses; do
         ;;
     esac
 done
-# The sweeps also write their JSON dumps (each stdout golden
-# references the default path, so it can't be disabled with
-# --json=-).
-rm -f fig8_sweep.json adversarial_sweep.json
+# The sweeps also write their JSON dumps, goldens too. Each stdout
+# golden names the default path, so they are written there and moved.
+for h in fig8_sweep adversarial_sweep; do
+    echo "regenerating $golden/$h.json" >&2
+    mv "$h.json" "$golden/$h.json"
+done
 
 # Drift check: every golden stdout the CI workflow diffs against
 # must be one this script regenerates — otherwise a renamed or

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,6 +36,7 @@
 #include "fault/resilience.hh"
 #include "common/ascii_table.hh"
 #include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/running_stats.hh"
 #include "common/status.hh"
@@ -241,23 +243,18 @@ workloadInputs(const ParsedArgs &args, bool all_by_default,
     return true;
 }
 
-/** Writes @p reports to --json with @p write unless the flag is
- * absent or '-'. False after printing the error. */
-template <typename Reports, typename Write>
-bool
-writeJsonReports(const ParsedArgs &args, const Reports &reports,
-                 Write write)
+/** Writes @p reports to --json unless the flag is absent or '-'. */
+template <typename Report>
+void
+writeJsonReports(const ParsedArgs &args,
+                 const std::vector<Report> &reports)
 {
-    const std::string json = args.get("json", "");
-    if (json.empty() || json == "-")
-        return true;
-    if (!write(json, reports)) {
-        std::cerr << "error: cannot write " << json << "\n";
-        return false;
-    }
-    std::cout << "wrote " << reports.size() << " reports to " << json
+    const std::string path = args.get("json", "");
+    if (path.empty() || path == "-")
+        return;
+    json::writeFile(path, json::lines(reports));
+    std::cout << "wrote " << reports.size() << " reports to " << path
               << "\n";
-    return true;
 }
 
 /**
@@ -286,15 +283,41 @@ tripwire(const ParsedArgs &args, const std::string &flag,
     return ok ? 0 : 1;
 }
 
+/** Exits 2 with "error: --@p flag @p problem": a value the parser
+ * accepts that the command cannot run with. */
+[[noreturn]] void
+badFlag(const std::string &flag, const std::string &problem)
+{
+    std::cerr << "error: --" << flag << " " << problem << "\n";
+    std::exit(2);
+}
+
+/** Largest --entries: a bounded table reserves all of its entries up
+ * front (0, unbounded, grows on demand). */
+constexpr unsigned kMaxTableEntries = 1u << 16;
+
+/** The classifier flags of every command that takes them, checked
+ * here once so that no value can reach a library assertion. */
 phase::ClassifierConfig
 classifierConfig(const ParsedArgs &args)
 {
     phase::ClassifierConfig cfg =
         phase::ClassifierConfig::paperDefault();
     cfg.similarityThreshold = args.getDouble("threshold", 0.25);
+    if (cfg.similarityThreshold <= 0.0 || cfg.similarityThreshold > 1.0)
+        badFlag("threshold", "must be in (0, 1]");
     cfg.minCountThreshold = args.getU32("min", 8);
     cfg.tableEntries = args.getU32("entries", 32);
+    if (cfg.tableEntries > kMaxTableEntries)
+        badFlag("entries", "must be at most " +
+                               std::to_string(kMaxTableEntries) +
+                               " (0 = unbounded)");
+    // Bounded by what one serve packet carries, for every command.
     cfg.numCounters = args.getU32("dims", 16);
+    if (cfg.numCounters == 0 ||
+        cfg.numCounters > serve::kMaxPacketCounters)
+        badFlag("dims", "must be between 1 and " +
+                            std::to_string(serve::kMaxPacketCounters));
     if (args.has("static-thresh"))
         cfg.adaptiveThreshold = false;
     return cfg;
@@ -433,18 +456,29 @@ phaseChar(PhaseId id)
     return glyphs[(id - 1) % (sizeof(glyphs) - 1)];
 }
 
+/** The input profile, classified under the command's classifier
+ * flags (checked before the profile loads); nullopt after a usage
+ * error was printed. */
+std::optional<analysis::ClassificationResult>
+classifyInput(const ParsedArgs &args)
+{
+    const phase::ClassifierConfig cfg = classifierConfig(args);
+    auto profile = inputProfile(args);
+    if (!profile)
+        return std::nullopt;
+    return analysis::classifyProfile(*profile, cfg);
+}
+
 int
 cmdClassify(const ParsedArgs &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
+    auto res = classifyInput(args);
+    if (!res)
         return 2;
-    analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
 
     if (args.has("timeline")) {
-        for (std::size_t i = 0; i < res.trace.size(); ++i) {
-            std::cout << phaseChar(res.trace.phases[i]);
+        for (std::size_t i = 0; i < res->trace.size(); ++i) {
+            std::cout << phaseChar(res->trace.phases[i]);
             if ((i + 1) % 80 == 0)
                 std::cout << '\n';
         }
@@ -453,23 +487,23 @@ cmdClassify(const ParsedArgs &args)
 
     AsciiTable table({"metric", "value"});
     table.row().cell("stable phases").cell(
-        static_cast<std::uint64_t>(res.numPhases));
-    table.row().cell("per-phase CPI CoV").percentCell(res.covCpi);
+        static_cast<std::uint64_t>(res->numPhases));
+    table.row().cell("per-phase CPI CoV").percentCell(res->covCpi);
     table.row()
         .cell("whole-program CoV")
-        .percentCell(res.wholeProgramCov);
+        .percentCell(res->wholeProgramCov);
     table.row()
         .cell("transition time")
-        .percentCell(res.transitionFraction);
+        .percentCell(res->transitionFraction);
     table.row()
         .cell("avg stable run")
-        .cell(res.runLengths.stableAvg, 1);
+        .cell(res->runLengths.stableAvg, 1);
     table.row()
         .cell("avg transition run")
-        .cell(res.runLengths.transitionAvg, 1);
+        .cell(res->runLengths.transitionAvg, 1);
     table.row()
         .cell("threshold halvings")
-        .cell(res.classifierStats.thresholdHalvings);
+        .cell(res->classifierStats.thresholdHalvings);
     table.print(std::cout);
     return 0;
 }
@@ -477,18 +511,16 @@ cmdClassify(const ParsedArgs &args)
 int
 cmdPredict(const ParsedArgs &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
+    auto res = classifyInput(args);
+    if (!res)
         return 2;
-    analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
 
     std::string pname = args.get("predictor", "rle2");
     std::optional<pred::PredictorSpec> spec =
         pred::predictorSpecByName(pname);
     pred::NextPhaseStats next =
-        spec ? pred::evalNextPhase(res.trace.phases, *spec)
-             : pred::evalNextPhase(res.trace.phases, std::nullopt);
+        spec ? pred::evalNextPhase(res->trace.phases, *spec)
+             : pred::evalNextPhase(res->trace.phases, std::nullopt);
 
     AsciiTable table({"metric", "value"});
     table.row().cell("predictor").cell(
@@ -507,7 +539,7 @@ cmdPredict(const ParsedArgs &args)
                    : 0.0);
     if (spec) {
         pred::ChangeOutcomeStats ch =
-            pred::evalChangeOutcome(res.trace.phases, *spec);
+            pred::evalChangeOutcome(res->trace.phases, *spec);
         table.row()
             .cell("phase changes predicted")
             .percentCell(ch.correctRate());
@@ -518,7 +550,7 @@ cmdPredict(const ParsedArgs &args)
                                    static_cast<double>(ch.changes)
                              : 0.0);
     }
-    pred::RunLengthStats rl = pred::evalRunLength(res.trace.phases);
+    pred::RunLengthStats rl = pred::evalRunLength(res->trace.phases);
     table.row()
         .cell("length-class mispredict")
         .percentCell(rl.mispredictRate());
@@ -529,11 +561,9 @@ cmdPredict(const ParsedArgs &args)
 int
 cmdExport(const ParsedArgs &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
+    auto res = classifyInput(args);
+    if (!res)
         return 2;
-    analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
 
     std::ofstream file;
     std::ostream *out = &std::cout;
@@ -547,14 +577,14 @@ cmdExport(const ParsedArgs &args)
         out = &file;
     }
     *out << "interval,cpi,phase,is_transition\n";
-    for (std::size_t i = 0; i < res.trace.size(); ++i) {
-        *out << i << ',' << res.trace.cpis[i] << ','
-             << res.trace.phases[i] << ','
-             << (res.trace.phases[i] == transitionPhaseId ? 1 : 0)
+    for (std::size_t i = 0; i < res->trace.size(); ++i) {
+        *out << i << ',' << res->trace.cpis[i] << ','
+             << res->trace.phases[i] << ','
+             << (res->trace.phases[i] == transitionPhaseId ? 1 : 0)
              << '\n';
     }
     if (!path.empty())
-        std::cout << "wrote " << res.trace.size()
+        std::cout << "wrote " << res->trace.size()
                   << " intervals to " << path << "\n";
     return 0;
 }
@@ -599,10 +629,8 @@ cmdSample(const ParsedArgs &args)
         return 2;
     auto budget =
         static_cast<std::size_t>(args.getU64("budget", 16));
-    if (budget == 0) {
-        std::cerr << "error: --budget must be positive\n";
-        return 2;
-    }
+    if (budget == 0)
+        badFlag("budget", "must be positive");
     std::string selector = args.get("selector", "stratified");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
@@ -643,10 +671,7 @@ cmdSample(const ParsedArgs &args)
     }
     table.print(std::cout);
 
-    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
-            return sample::writeJson(path, r);
-        }))
-        return 1;
+    writeJsonReports(args, reports);
     return tripwire(args, "max-error", "worst CPI error", worst, 100.0,
                     "%");
 }
@@ -705,10 +730,7 @@ cmdAdapt(const ParsedArgs &args)
     }
     table.print(std::cout);
 
-    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
-            return adapt::writeJson(path, r);
-        }))
-        return 1;
+    writeJsonReports(args, reports);
     return tripwire(args, "min-oracle", "worst oracle fraction",
                     worst_fraction, 100.0, "%");
 }
@@ -798,10 +820,7 @@ cmdFaults(const ParsedArgs &args)
     }
     table.print(std::cout);
 
-    if (!writeJsonReports(args, reports, [](auto &path, auto &r) {
-            return fault::writeJson(path, r);
-        }))
-        return 1;
+    writeJsonReports(args, reports);
     return tripwire(args, "min-agreement", "worst phase-ID agreement",
                     worst, 100.0, "%");
 }
@@ -813,33 +832,37 @@ cmdServe(const ParsedArgs &args)
     std::vector<trace::IntervalProfile> traced;
     if (!workloadInputs(args, false, names, traced))
         return 2;
+    // Every value is checked before a stream is encoded or a thread
+    // starts.
     const unsigned tenants = args.getU32("tenants", 8);
+    if (tenants == 0)
+        badFlag("tenants", "must be >= 1");
     const unsigned producers = args.getU32("producers", 1);
-    if (tenants == 0 || producers == 0) {
-        std::cerr << "error: --tenants and --producers must be "
-                     ">= 1\n";
-        return 2;
-    }
+    if (producers == 0)
+        badFlag("producers", "must be >= 1");
+    const unsigned num_streams = args.getU32("streams", 4);
+    if (num_streams == 0)
+        badFlag("streams", "must be >= 1");
     const std::uint64_t packets = args.getU64("packets", 2000);
     phase::ClassifierConfig ccfg = classifierConfig(args);
     pred::PhaseTrackerConfig tcfg;
     tcfg.classifier = ccfg;
     const std::uint64_t drr_quantum = args.getU64("drr-quantum", 16);
-    if (drr_quantum == 0) {
-        std::cerr << "error: --drr-quantum must be >= 1\n";
-        return 2;
-    }
+    if (drr_quantum == 0)
+        badFlag("drr-quantum", "must be >= 1");
+    const std::uint64_t backoff = args.getU64("quarantine-backoff", 256);
+    if (backoff == 0)
+        badFlag("quarantine-backoff", "must be >= 1");
     const std::uint64_t ring_bytes = args.getU64("ring-bytes", 1u << 20);
     const std::size_t frame_bytes =
         serve::packetBytes(ccfg.numCounters) +
         serve::SpscRing::kFrameOverhead;
     const std::uint64_t max_ring_bytes = std::uint64_t{1} << 30;
-    if (ring_bytes < frame_bytes || ring_bytes > max_ring_bytes) {
-        std::cerr << "error: --ring-bytes must be between one "
-                  << frame_bytes << "-byte frame and "
-                  << max_ring_bytes << "\n";
-        return 2;
-    }
+    if (ring_bytes < frame_bytes || ring_bytes > max_ring_bytes)
+        badFlag("ring-bytes", "must be between one " +
+                                  std::to_string(frame_bytes) +
+                                  "-byte frame and " +
+                                  std::to_string(max_ring_bytes));
 
     // Shared streams: tenant t replays stream t % S, so a tenant's
     // input depends only on its id — never on the producer layout.
@@ -849,9 +872,8 @@ cmdServe(const ParsedArgs &args)
             streams.push_back(serve::encodeProfileStream(
                 profile, ccfg.numCounters, packets));
     } else if (names.empty()) {
-        const unsigned n = args.getU32("streams", 4);
         const std::uint64_t len = packets == 0 ? 2000 : packets;
-        for (unsigned k = 0; k < n; ++k)
+        for (unsigned k = 0; k < num_streams; ++k)
             streams.push_back(serve::encodeSyntheticStream(
                 k, len, ccfg.numCounters));
     } else {
@@ -874,19 +896,9 @@ cmdServe(const ParsedArgs &args)
             std::cerr << "error: --batch needs --phase-out DIR\n";
             return 2;
         }
-        std::filesystem::create_directories(phase_out);
-        for (std::uint64_t t = 0; t < tenants; ++t) {
-            const std::string path = phase_out + "/tenant_" +
-                                     std::to_string(t) + ".phases";
-            std::ofstream out(path);
-            if (!out) {
-                std::cerr << "error: cannot write " << path << "\n";
-                return 1;
-            }
-            for (PhaseId p :
-                 serve::batchPhaseStream(streamOf(t), tcfg))
-                out << p << '\n';
-        }
+        for (std::uint64_t t = 0; t < tenants; ++t)
+            serve::writePhaseStream(
+                phase_out, t, serve::batchPhaseStream(streamOf(t), tcfg));
         std::cout << "wrote " << tenants
                   << " batch phase streams to " << phase_out
                   << "\n";
@@ -907,8 +919,7 @@ cmdServe(const ParsedArgs &args)
         args.getU64("quarantine-threshold", 0);
     sopts.registry.quarantine.offenseWindow =
         args.getU64("quarantine-window", 1024);
-    sopts.registry.quarantine.backoffBase =
-        args.getU64("quarantine-backoff", 256);
+    sopts.registry.quarantine.backoffBase = backoff;
     sopts.registry.quarantine.backoffCap =
         args.getU64("quarantine-backoff-cap", 1u << 20);
     // Tenant t is fed by producer t % producers; a tenant never
@@ -1057,30 +1068,13 @@ cmdServe(const ParsedArgs &args)
         std::cout << "wrote " << loop.allTenantIds().size()
                   << " phase streams to " << phase_out << "\n";
     }
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!serve::writeJson(json, rep)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote report to " << json << "\n";
+    const std::string json_path = args.get("json", "");
+    if (!json_path.empty() && json_path != "-") {
+        json::writeFile(json_path, serve::toJson(rep));
+        std::cout << "wrote report to " << json_path << "\n";
     }
     return tripwire(args, "min-rate", "ingest rate", rep.packetsPerSec,
                     1.0, " packets/s");
-}
-
-/** Writes raw bytes to @p path (corpus files are plain writes; the
- * atomic writer is for files readers may race on). */
-bool
-writeBytes(const std::string &path,
-           const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out.flush());
 }
 
 int
@@ -1268,21 +1262,13 @@ cmdTraceCorpus(const ParsedArgs &args)
     std::string manifest =
         "# file -> required loader outcome (ok | fail)\n";
     for (const auto &[name, bytes] : files) {
-        if (!writeBytes(dir + "/" + name, bytes)) {
-            std::cerr << "error: cannot write " << dir << "/"
-                      << name << "\n";
-            return 1;
-        }
+        json::writeFile(dir + "/" + name,
+                        {reinterpret_cast<const char *>(bytes.data()),
+                         bytes.size()});
         manifest += name;
         manifest += name == "seed.tpcptrace" ? " ok\n" : " fail\n";
     }
-    std::ofstream mf(dir + "/MANIFEST");
-    mf << manifest;
-    if (!mf.flush()) {
-        std::cerr << "error: cannot write " << dir
-                  << "/MANIFEST\n";
-        return 1;
-    }
+    json::writeFile(dir + "/MANIFEST", manifest);
     std::cout << "wrote " << files.size()
               << " corpus files + MANIFEST to " << dir << "\n";
     return 0;
