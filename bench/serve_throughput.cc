@@ -208,15 +208,10 @@ main(int argc, char **argv)
                 k, packets, tcfg.classifier.numCounters));
     }
 
-    std::vector<unsigned> sweep;
-    for (unsigned t = 1; t < max_tenants; t *= 4)
-        sweep.push_back(t);
-    sweep.push_back(max_tenants);
-
     std::vector<SweepPoint> points;
     AsciiTable table({"tenants", "producers", "workers", "packets",
                       "parks", "evictions", "sec", "packets/s"});
-    for (unsigned t : sweep) {
+    for (unsigned t : bench::tenantSweep(max_tenants)) {
         SweepPoint pt =
             runPoint(t, producers, args.jobs(), packets, streams, tcfg);
         points.push_back(pt);

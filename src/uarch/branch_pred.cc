@@ -9,17 +9,14 @@ namespace tpcp::uarch
 namespace
 {
 
-/** Updates a 2-bit counter toward @p taken. */
+/** Moves a 2-bit counter one step toward @p taken when @p train,
+ * saturating at 0 and 3. Arithmetic, so no host branch depends on the
+ * simulated outcome. */
 void
-train2bit(std::uint8_t &ctr, bool taken)
+train2bit(std::uint8_t &ctr, bool taken, bool train = true)
 {
-    if (taken) {
-        if (ctr < 3)
-            ++ctr;
-    } else {
-        if (ctr > 0)
-            --ctr;
-    }
+    ctr = static_cast<std::uint8_t>(ctr + (train & taken & (ctr < 3)) -
+                                    (train & !taken & (ctr > 0)));
 }
 
 } // namespace
@@ -120,8 +117,8 @@ HybridPredictor::update(Addr pc, bool taken)
 {
     // The chooser trains toward the component that was right when the
     // components disagree (McFarling-style tournament update).
-    if (lastGshare != lastBimodal)
-        train2bit(chooser[chooserIndex(pc)], lastGshare == taken);
+    train2bit(chooser[chooserIndex(pc)], lastGshare == taken,
+              lastGshare != lastBimodal);
     gshare.update(pc, taken);
     bimodal.update(pc, taken);
 }
@@ -133,12 +130,6 @@ HybridPredictor::reset()
     bimodal.reset();
     std::fill(chooser.begin(), chooser.end(), 2);
     clearStats();
-}
-
-std::unique_ptr<BranchPredictor>
-makeHybridPredictor(const BranchPredConfig &config)
-{
-    return std::make_unique<HybridPredictor>(config);
 }
 
 } // namespace tpcp::uarch

@@ -9,7 +9,6 @@
 #define TPCP_UARCH_BRANCH_PRED_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -55,9 +54,8 @@ class BranchPredictor
         bool pred = predict(pc);
         update(pc, taken);
         ++stats_.lookups;
-        bool wrong = pred != taken;
-        if (wrong)
-            ++stats_.mispredicts;
+        const bool wrong = pred != taken;
+        stats_.mispredicts += wrong;
         return wrong;
     }
 
@@ -115,7 +113,7 @@ class GsharePredictor : public BranchPredictor
  * components always train, and the chooser trains toward whichever
  * component was correct when they disagree.
  */
-class HybridPredictor : public BranchPredictor
+class HybridPredictor final : public BranchPredictor
 {
   public:
     explicit HybridPredictor(const BranchPredConfig &config);
@@ -135,10 +133,6 @@ class HybridPredictor : public BranchPredictor
     bool lastGshare = false;
     bool lastBimodal = false;
 };
-
-/** Factory for the configured hybrid predictor. */
-std::unique_ptr<BranchPredictor>
-makeHybridPredictor(const BranchPredConfig &config);
 
 } // namespace tpcp::uarch
 

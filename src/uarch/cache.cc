@@ -2,6 +2,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "uarch/lru_set.hh"
 
 namespace tpcp::uarch
 {
@@ -9,8 +10,9 @@ namespace tpcp::uarch
 Cache::Cache(const CacheConfig &config, std::string name)
     : config_(config), name_(std::move(name))
 {
-    tpcp_assert(isPowerOf2(config_.blockBytes),
-                "block size must be a power of two");
+    tpcp_assert(isPowerOf2(config_.blockBytes) && config_.blockBytes >= 2,
+                "block size must be a power of two of at least 2 bytes "
+                "(so a line's key, tag + 1, is never 0)");
     tpcp_assert(config_.assoc >= 1);
     std::uint64_t sets = config_.numSets();
     tpcp_assert(sets >= 1 && isPowerOf2(sets),
@@ -36,46 +38,28 @@ CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     ++stats_.accesses;
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    Line *base = &lines[set * config_.assoc];
+    const std::uint64_t key = tagOf(addr) + 1;
+    Line *base = &lines[setIndex(addr) * config_.assoc];
 
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = ++tick;
-            line.dirty = line.dirty || write;
-            return {true, false};
-        }
-        if (!line.valid) {
-            if (!victim || victim->valid)
-                victim = &line;
-        } else if (!victim ||
-                   (victim->valid && line.lastUse < victim->lastUse)) {
-            victim = &line;
-        }
-    }
-
-    ++stats_.misses;
-    bool writeback = victim->valid && victim->dirty;
-    if (writeback)
-        ++stats_.writebacks;
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = write;
-    victim->lastUse = ++tick;
-    return {false, writeback};
+    Line &line = base[pickWay(base, config_.assoc, key)];
+    const bool hit = line.key == key;
+    // Invalid lines are clean, so only a valid victim writes back.
+    const bool writeback = !hit & line.dirty;
+    stats_.misses += !hit;
+    stats_.writebacks += writeback;
+    line.key = key;
+    line.dirty = (hit & line.dirty) | write;
+    line.lastUse = ++tick;
+    return {hit, writeback};
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines[set * config_.assoc];
+    const std::uint64_t key = tagOf(addr) + 1;
+    const Line *base = &lines[setIndex(addr) * config_.assoc];
     for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].key == key)
             return true;
     }
     return false;

@@ -43,7 +43,10 @@ struct CacheStats
 
 /**
  * Tag-only set-associative cache (no data storage is needed for
- * timing). LRU is tracked with per-line use ticks.
+ * timing). LRU is tracked with per-line use ticks. An access scans
+ * every way of its set with no early exit and picks the hit or victim
+ * way branch-free (pickWay() in lru_set.hh), so no host branch
+ * depends on the simulated addresses.
  */
 class Cache
 {
@@ -78,12 +81,16 @@ class Cache
     const std::string &name() const { return name_; }
 
   private:
+    /**
+     * One way. An invalid line has key 0, lastUse 0 and is clean; a
+     * valid one has key tag + 1 and the unique nonzero tick of its
+     * last use (the invariant pickWay() relies on).
+     */
     struct Line
     {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t key = 0;
         std::uint64_t lastUse = 0;
+        bool dirty = false;
     };
 
     std::uint64_t setIndex(Addr addr) const;

@@ -10,7 +10,7 @@ namespace tpcp::uarch
 
 OooCore::OooCore(const MachineConfig &config)
     : config(config), hier(config),
-      bp(makeHybridPredictor(config.branchPred)),
+      bp(config.branchPred),
       regReady(isa::numArchRegs, 0),
       robCommit(config.core.robEntries, 0),
       lsqComplete(config.core.lsqEntries, 0)
@@ -38,9 +38,17 @@ OooCore::allocFu(isa::FuClass fu, Cycles ready, Cycles occupancy)
         return ready;
     auto &units = fuFree[static_cast<std::size_t>(fu)];
     tpcp_assert(!units.empty(), "no units for fu class");
-    auto it = std::min_element(units.begin(), units.end());
-    Cycles issue = std::max(ready, *it);
-    *it = issue + occupancy;
+    // The first unit with the smallest next-free cycle, picked with
+    // products by a bool (GCC turns a select here into a branch).
+    std::size_t best = 0;
+    Cycles best_free = units[0];
+    for (std::size_t u = 1; u < units.size(); ++u) {
+        const bool earlier = units[u] < best_free;
+        best = u * earlier + best * !earlier;
+        best_free = std::min(best_free, units[u]);
+    }
+    Cycles issue = std::max(ready, best_free);
+    units[best] = issue + occupancy;
     return issue;
 }
 
@@ -63,22 +71,22 @@ OooCore::consume(const DynInst &inst)
         }
     }
 
-    // ROB occupancy: fetch of instruction i stalls until instruction
-    // i - robEntries has committed and freed its entry.
-    if (seq >= cc.robEntries) {
-        Cycles free_at = robCommit[seq % cc.robEntries];
-        if (fetchCycle < free_at) {
-            fetchCycle = free_at;
-            fetchedThisCycle = 0;
-        }
-    }
+    // The timing state below is updated with max and with products
+    // by a bool, not with branches or selects (GCC turns selects on
+    // these members back into branches): each condition depends on
+    // simulated data, and the host would mispredict it.
 
-    if (fetchedThisCycle >= cc.fetchWidth) {
-        ++fetchCycle;
-        fetchedThisCycle = 0;
-    }
+    // ROB occupancy: fetch of instruction i stalls until instruction
+    // i - robEntries has committed and freed its entry. The ring
+    // starts zeroed, so the first robEntries instructions never stall.
+    const Cycles free_at = robCommit[robPos];
+    fetchedThisCycle *= fetchCycle >= free_at;
+    fetchCycle = std::max(fetchCycle, free_at);
+
+    const bool fetch_full = fetchedThisCycle >= cc.fetchWidth;
+    fetchCycle += fetch_full;
+    fetchedThisCycle = fetchedThisCycle * !fetch_full + 1;
     Cycles fetch = fetchCycle;
-    ++fetchedThisCycle;
 
     Cycles dispatch = fetch + cc.frontendDepth;
 
@@ -90,13 +98,9 @@ OooCore::consume(const DynInst &inst)
     if (si.src2 != isa::noReg)
         ready = std::max(ready, regReady[si.src2]);
 
-    // ---- LSQ occupancy for memory ops ----
-    if (inst.isMem()) {
-        if (memSeq >= cc.lsqEntries) {
-            Cycles free_at = lsqComplete[memSeq % cc.lsqEntries];
-            ready = std::max(ready, free_at);
-        }
-    }
+    // ---- LSQ occupancy for memory ops (the ring starts zeroed) ----
+    if (inst.isMem())
+        ready = std::max(ready, lsqComplete[lsqPos]);
 
     // ---- Issue to a functional unit ----
     // Divides occupy their unit for the full latency (unpipelined);
@@ -120,8 +124,8 @@ OooCore::consume(const DynInst &inst)
             // update above models their footprint.
             complete = issue + 1;
         }
-        lsqComplete[memSeq % cc.lsqEntries] = complete;
-        ++memSeq;
+        lsqComplete[lsqPos] = complete;
+        lsqPos = lsqPos + 1 == cc.lsqEntries ? 0 : lsqPos + 1;
     } else {
         complete = issue + traits.latency;
     }
@@ -132,37 +136,29 @@ OooCore::consume(const DynInst &inst)
     // ---- Branch resolution ----
     if (inst.isConditional()) {
         ++stats_.branches;
-        bool wrong = bp->predictAndTrain(inst.pc, inst.taken);
-        if (wrong) {
-            ++stats_.branchMispredicts;
-            // Fetch redirects when the branch resolves; everything
-            // younger refetches from the correct path.
-            if (fetchCycle < complete + 1) {
-                fetchCycle = complete + 1;
-                fetchedThisCycle = 0;
-            }
-            curFetchLine = ~Addr(0);
-        }
+        const bool wrong = bp.predictAndTrain(inst.pc, inst.taken);
+        stats_.branchMispredicts += wrong;
+        // A mispredict redirects fetch when the branch resolves;
+        // everything younger refetches from the correct path.
+        const Cycles resume = (complete + 1) * wrong;
+        fetchedThisCycle *= fetchCycle >= resume;
+        fetchCycle = std::max(fetchCycle, resume);
+        curFetchLine |= -Addr(wrong);
     }
 
     // ---- In-order commit, commitWidth per cycle ----
+    // A commit into a full cycle moves to the next one.
     Cycles commit = std::max(complete + 1, lastCommit);
-    if (commit == commitCycleOpen) {
-        if (commitsThisCycle >= cc.commitWidth) {
-            ++commit;
-            commitCycleOpen = commit;
-            commitsThisCycle = 1;
-        } else {
-            ++commitsThisCycle;
-        }
-    } else {
-        commitCycleOpen = commit;
-        commitsThisCycle = 1;
-    }
+    const bool same_cycle = commit == commitCycleOpen;
+    const bool cycle_full =
+        same_cycle & (commitsThisCycle >= cc.commitWidth);
+    commit += cycle_full;
+    commitsThisCycle = commitsThisCycle * (same_cycle & !cycle_full) + 1;
+    commitCycleOpen = commit;
 
-    robCommit[seq % cc.robEntries] = commit;
+    robCommit[robPos] = commit;
+    robPos = robPos + 1 == cc.robEntries ? 0 : robPos + 1;
     lastCommit = commit;
-    ++seq;
 }
 
 Cycles
@@ -175,14 +171,14 @@ void
 OooCore::reset()
 {
     hier.reset();
-    bp->reset();
+    bp.reset();
     std::fill(regReady.begin(), regReady.end(), 0);
     for (auto &units : fuFree)
         std::fill(units.begin(), units.end(), 0);
     std::fill(robCommit.begin(), robCommit.end(), 0);
     std::fill(lsqComplete.begin(), lsqComplete.end(), 0);
-    seq = 0;
-    memSeq = 0;
+    robPos = 0;
+    lsqPos = 0;
     fetchCycle = 0;
     fetchedThisCycle = 0;
     curFetchLine = ~Addr(0);

@@ -19,7 +19,6 @@
 #define TPCP_UARCH_OOO_CORE_HH
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "uarch/branch_pred.hh"
@@ -42,7 +41,7 @@ class OooCore : public TimingCore
     std::string name() const override { return "ooo"; }
 
     const CacheHierarchy &hierarchy() const { return hier; }
-    const BranchPredictor &branchPredictor() const { return *bp; }
+    const BranchPredictor &branchPredictor() const { return bp; }
 
     const CacheHierarchy *
     memoryHierarchy() const override
@@ -53,7 +52,7 @@ class OooCore : public TimingCore
     const BranchPredictor *
     directionPredictor() const override
     {
-        return bp.get();
+        return &bp;
     }
 
   private:
@@ -63,7 +62,7 @@ class OooCore : public TimingCore
 
     MachineConfig config;
     CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> bp;
+    HybridPredictor bp;
 
     /** Cycle each architectural register's value becomes available. */
     std::vector<Cycles> regReady;
@@ -74,8 +73,8 @@ class OooCore : public TimingCore
     /** Completion cycle of the last lsqEntries memory ops (circular). */
     std::vector<Cycles> lsqComplete;
 
-    std::uint64_t seq = 0;     ///< dynamic instruction index
-    std::uint64_t memSeq = 0;  ///< dynamic memory-op index
+    unsigned robPos = 0;  ///< ROB ring slot of the next instruction
+    unsigned lsqPos = 0;  ///< LSQ ring slot of the next memory op
     Cycles fetchCycle = 0;
     unsigned fetchedThisCycle = 0;
     Addr curFetchLine = ~Addr(0);

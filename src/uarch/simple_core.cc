@@ -7,7 +7,7 @@ namespace tpcp::uarch
 
 SimpleCore::SimpleCore(const MachineConfig &config)
     : config(config), hier(config),
-      bp(makeHybridPredictor(config.branchPred))
+      bp(config.branchPred)
 {
     fetchLineShift = floorLog2(config.icache.blockBytes);
 }
@@ -49,13 +49,12 @@ SimpleCore::consume(const DynInst &inst)
 
     if (inst.isConditional()) {
         ++stats_.branches;
-        bool wrong = bp->predictAndTrain(inst.pc, inst.taken);
-        if (wrong) {
-            ++stats_.branchMispredicts;
-            stallCycles += config.branchPred.mispredictPenalty;
-        }
-        if (inst.taken)
-            curFetchLine = ~Addr(0); // redirected fetch refills
+        // Arithmetic on the outcomes, so no host branch depends on
+        // them.
+        const bool wrong = bp.predictAndTrain(inst.pc, inst.taken);
+        stats_.branchMispredicts += wrong;
+        stallCycles += wrong * config.branchPred.mispredictPenalty;
+        curFetchLine |= -Addr(inst.taken); // redirected fetch refills
     } else if (inst.staticInst->op == isa::OpClass::Jump) {
         curFetchLine = ~Addr(0);
     }
@@ -71,7 +70,7 @@ void
 SimpleCore::reset()
 {
     hier.reset();
-    bp->reset();
+    bp.reset();
     slots = 0;
     stallCycles = 0;
     curFetchLine = ~Addr(0);

@@ -10,8 +10,6 @@
 #ifndef TPCP_UARCH_SIMPLE_CORE_HH
 #define TPCP_UARCH_SIMPLE_CORE_HH
 
-#include <memory>
-
 #include "uarch/branch_pred.hh"
 #include "uarch/cache_hierarchy.hh"
 #include "uarch/core.hh"
@@ -42,7 +40,7 @@ class SimpleCore : public TimingCore
     std::string name() const override { return "simple"; }
 
     const CacheHierarchy &hierarchy() const { return hier; }
-    const BranchPredictor &branchPredictor() const { return *bp; }
+    const BranchPredictor &branchPredictor() const { return bp; }
 
     const CacheHierarchy *
     memoryHierarchy() const override
@@ -53,13 +51,13 @@ class SimpleCore : public TimingCore
     const BranchPredictor *
     directionPredictor() const override
     {
-        return bp.get();
+        return &bp;
     }
 
   private:
     MachineConfig config;
     CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> bp;
+    HybridPredictor bp;
 
     std::uint64_t slots = 0;     ///< issue slots consumed
     Cycles stallCycles = 0;      ///< accumulated penalty cycles

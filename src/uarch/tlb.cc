@@ -2,6 +2,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "uarch/lru_set.hh"
 
 namespace tpcp::uarch
 {
@@ -9,7 +10,8 @@ namespace tpcp::uarch
 Tlb::Tlb(const TlbConfig &config)
     : config_(config)
 {
-    tpcp_assert(isPowerOf2(config_.pageBytes));
+    // Pages of at least 2 bytes keep an entry's key, vpn + 1, nonzero.
+    tpcp_assert(isPowerOf2(config_.pageBytes) && config_.pageBytes >= 2);
     tpcp_assert(config_.assoc >= 1);
     tpcp_assert(config_.entries % config_.assoc == 0);
     pageShift = floorLog2(config_.pageBytes);
@@ -23,31 +25,16 @@ bool
 Tlb::access(Addr addr)
 {
     ++stats_.accesses;
-    std::uint64_t vpn = addr >> pageShift;
-    std::uint64_t set = vpn & setMask;
-    Entry *base = &entries[set * config_.assoc];
+    const std::uint64_t vpn = addr >> pageShift;
+    Entry *base = &entries[(vpn & setMask) * config_.assoc];
 
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = ++tick;
-            return true;
-        }
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (!victim ||
-                   (victim->valid && e.lastUse < victim->lastUse)) {
-            victim = &e;
-        }
-    }
-
-    ++stats_.misses;
-    victim->vpn = vpn;
-    victim->valid = true;
-    victim->lastUse = ++tick;
-    return false;
+    const std::uint64_t key = vpn + 1;
+    Entry &e = base[pickWay(base, config_.assoc, key)];
+    const bool hit = e.key == key;
+    stats_.misses += !hit;
+    e.key = key;
+    e.lastUse = ++tick;
+    return hit;
 }
 
 void

@@ -34,7 +34,8 @@ struct TlbStats
 /**
  * Translation lookaside buffer: a set-associative LRU array of page
  * numbers. Translation itself is the identity (the synthetic ISA uses
- * flat addresses); only the hit/miss timing matters.
+ * flat addresses); only the hit/miss timing matters. Lookup is the
+ * same branch-free full-set scan as Cache::access.
  */
 class Tlb
 {
@@ -53,10 +54,11 @@ class Tlb
     const TlbStats &stats() const { return stats_; }
 
   private:
+    /** One way; keyed and aged like Cache's lines: key vpn + 1 and
+     * a unique nonzero lastUse while valid, both 0 while invalid. */
     struct Entry
     {
-        std::uint64_t vpn = 0;
-        bool valid = false;
+        std::uint64_t key = 0;
         std::uint64_t lastUse = 0;
     };
 

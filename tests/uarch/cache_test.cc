@@ -1,11 +1,19 @@
 /**
  * @file
  * Unit tests for the set-associative cache model (geometry, hit/miss
- * behavior, LRU replacement, write-back state).
+ * behavior, LRU replacement, write-back state), and a differential
+ * test against the scan-based reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "adapt/lattice.hh"
+#include "common/bitops.hh"
+#include "common/rng.hh"
 #include "uarch/cache.hh"
 
 using namespace tpcp;
@@ -146,4 +154,208 @@ TEST(Cache, WorkingSetSmallerThanCacheHitsAfterWarmup)
     // 4 cold misses, then hits.
     EXPECT_EQ(c.stats().misses, 4u);
     EXPECT_EQ(c.stats().accesses, 16u);
+}
+
+// ---- Differential test against the scan-based reference model ----
+
+namespace
+{
+
+/**
+ * The scan-based access this model replaced, kept as the reference:
+ * the first valid way whose tag matches hits; on a miss the victim is
+ * the first invalid way, else the valid way used least recently.
+ */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheConfig &config)
+        : assoc(config.assoc), blockShift(floorLog2(config.blockBytes)),
+          setMask(config.numSets() - 1),
+          lines(config.numSets() * config.assoc)
+    {
+    }
+
+    CacheAccessResult
+    access(Addr addr, bool write)
+    {
+        ++stats.accesses;
+        std::uint64_t tag = addr >> blockShift;
+        Line *base = &lines[(tag & setMask) * assoc];
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < assoc; ++w) {
+            Line &line = base[w];
+            if (line.valid && line.tag == tag) {
+                line.lastUse = ++tick;
+                line.dirty = line.dirty || write;
+                return {true, false};
+            }
+            if (!line.valid) {
+                if (!victim || victim->valid)
+                    victim = &line;
+            } else if (!victim ||
+                       (victim->valid && line.lastUse < victim->lastUse)) {
+                victim = &line;
+            }
+        }
+        ++stats.misses;
+        bool writeback = victim->valid && victim->dirty;
+        if (writeback)
+            ++stats.writebacks;
+        victim->tag = tag;
+        victim->valid = true;
+        victim->dirty = write;
+        victim->lastUse = ++tick;
+        return {false, writeback};
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    unsigned assoc;
+    unsigned blockShift;
+    std::uint64_t setMask;
+    std::vector<Line> lines;
+    std::uint64_t tick = 0;
+};
+
+struct Access
+{
+    Addr addr;
+    bool write;
+};
+
+/**
+ * A seeded read/write stream over @p c: uniform traffic over four
+ * times the capacity, a hot set that fits, set-conflict storms of up
+ * to twice the associativity on one set, and addresses near the top
+ * of the address space.
+ */
+std::vector<Access>
+mixedStream(const CacheConfig &c, std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    const std::uint64_t way_span = c.numSets() * c.blockBytes;
+    std::vector<Access> out;
+    out.reserve(n);
+    while (out.size() < n) {
+        const std::uint32_t kind = rng.nextBounded(4);
+        const std::size_t burst = 1 + rng.nextBounded(64);
+        const Addr set_base = rng.nextBounded(
+                                  static_cast<std::uint32_t>(c.numSets())) *
+                              c.blockBytes;
+        for (std::size_t i = 0; i < burst && out.size() < n; ++i) {
+            Addr a = 0;
+            switch (kind) {
+              case 0:
+                a = rng.next64() % (4 * c.sizeBytes);
+                break;
+              case 1:
+                a = rng.next64() % (c.sizeBytes / 2 + 1);
+                break;
+              case 2:
+                a = set_base + rng.nextBounded(2 * c.assoc + 1) * way_span +
+                    rng.nextBounded(c.blockBytes);
+                break;
+              default:
+                a = ~Addr(0) - rng.next64() % (2 * c.sizeBytes);
+                break;
+            }
+            out.push_back({a, rng.nextBool(0.3)});
+        }
+    }
+    return out;
+}
+
+/** Drives the model and the reference with the same streams. */
+void
+expectMatchesReference(const CacheConfig &config)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << config.sizeBytes << "B " << config.assoc << "-way "
+                 << config.blockBytes << "B blocks");
+    Cache c(config, "dut");
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        c.reset();
+        RefCache ref(config);
+        const std::vector<Access> stream =
+            mixedStream(config, seed, 20'000);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            const CacheAccessResult want =
+                ref.access(stream[i].addr, stream[i].write);
+            const CacheAccessResult got =
+                c.access(stream[i].addr, stream[i].write);
+            ASSERT_EQ(got.hit, want.hit) << "access " << i;
+            ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+        }
+        EXPECT_EQ(c.stats().accesses, ref.stats.accesses);
+        EXPECT_EQ(c.stats().misses, ref.stats.misses);
+        EXPECT_EQ(c.stats().writebacks, ref.stats.writebacks);
+    }
+}
+
+CacheConfig
+geometry(std::uint64_t sets, unsigned assoc, unsigned block)
+{
+    return CacheConfig{sets * assoc * block, assoc, block, 1};
+}
+
+} // namespace
+
+TEST(CacheDifferential, AssociativitiesMatchReference)
+{
+    for (unsigned assoc : {1u, 2u, 4u, 8u, 16u})
+        expectMatchesReference(geometry(16, assoc, 32));
+}
+
+TEST(CacheDifferential, FullyAssociativeMatchesReference)
+{
+    expectMatchesReference(geometry(1, 16, 64));
+    expectMatchesReference(geometry(1, 4, 16));
+}
+
+TEST(CacheDifferential, Table1GeometriesMatchReference)
+{
+    const MachineConfig m = MachineConfig::table1();
+    expectMatchesReference(m.icache);
+    expectMatchesReference(m.dcache);
+    expectMatchesReference(m.l2);
+}
+
+TEST(CacheDifferential, AdaptLatticeGeometriesMatchReference)
+{
+    const adapt::ConfigLattice lattice = adapt::ConfigLattice::standard();
+    std::set<std::tuple<std::uint64_t, unsigned, unsigned>> seen;
+    for (std::size_t i = 0; i < lattice.size(); ++i) {
+        for (const CacheConfig &c :
+             {lattice.machine(i).dcache, lattice.machine(i).l2}) {
+            if (seen.insert({c.sizeBytes, c.assoc, c.blockBytes}).second)
+                expectMatchesReference(c);
+        }
+    }
+    EXPECT_EQ(seen.size(), 5u) << "L1D 16K/8K/4K and L2 128K/64K";
+}
+
+TEST(CacheDifferential, HalvedCacheChainMatchesReference)
+{
+    // Every geometry halvedCache() reaches from the Table-1 caches,
+    // down to its fixed point (one set, direct mapped).
+    const MachineConfig m = MachineConfig::table1();
+    for (CacheConfig c : {m.dcache, m.l2}) {
+        for (;;) {
+            expectMatchesReference(c);
+            const CacheConfig next = halvedCache(c);
+            if (next.sizeBytes == c.sizeBytes && next.assoc == c.assoc)
+                break;
+            c = next;
+        }
+    }
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -1555,11 +1556,12 @@ main(int argc, char **argv)
             " [options]");
 
     // The library raises recoverable tpcp::Error instead of exiting;
-    // the tool is the process boundary that turns an unhandled one
-    // into exit code 1.
+    // the tool is the process boundary that turns an unhandled one,
+    // or any other exception (a std::filesystem error on a bad
+    // output path), into exit code 1.
     try {
         return cmd->run(args);
-    } catch (const Error &e) {
+    } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }
