@@ -249,21 +249,6 @@ mean(const std::vector<double> &v)
     return s / static_cast<double>(v.size());
 }
 
-/**
- * The tenant counts serve_throughput sweeps: 1, 4, 16, ... below
- * @p max_tenants, then @p max_tenants itself. The step is counted in
- * 64 bits, so it cannot wrap to 0 (and loop forever) past 4^15.
- */
-inline std::vector<unsigned>
-tenantSweep(unsigned max_tenants)
-{
-    std::vector<unsigned> sweep;
-    for (std::uint64_t t = 1; t < max_tenants; t *= 4)
-        sweep.push_back(static_cast<unsigned>(t));
-    sweep.push_back(max_tenants);
-    return sweep;
-}
-
 /** Prints the standard harness banner. */
 inline void
 banner(const std::string &figure, const std::string &what)

@@ -117,24 +117,21 @@ scratchDir(const std::string &name)
 double
 conservation(const ServeCounters &c, std::uint64_t pushed)
 {
-    const std::uint64_t accounted =
-        c.packets + c.malformedPackets + c.rejectedPackets +
-        c.shedPackets + c.quarantineDrops;
-    return accounted == pushed ? 1.0 : 0.0;
+    return c.accounted() == pushed ? 1.0 : 0.0;
 }
 
-/** Pushes one frame, restamped for (tenant, seq); a full ring is a
- * counted producer-side drop, exactly like BackpressurePolicy::Drop
- * (the sequence still advances, so the consumer sees the gap). */
+/** Pushes one frame, restamped for (tenant, seq), into the tenant's
+ * ring; a full ring is a counted producer-side drop, exactly like
+ * BackpressurePolicy::Drop (the sequence still advances, so the
+ * consumer sees the gap). */
 bool
-pushFrame(ServiceLoop &loop, unsigned partition,
-          std::vector<std::uint8_t> &scratch,
+pushFrame(ServiceLoop &loop, std::vector<std::uint8_t> &scratch,
           const std::vector<std::uint8_t> &frame,
           std::uint64_t tenant, std::uint64_t seq)
 {
     scratch = frame;
     restampPacket(scratch.data(), tenant, seq);
-    return loop.ring(partition).tryPush(
+    return loop.ring(loop.partitionOf(tenant)).tryPush(
         scratch.data(), static_cast<std::uint32_t>(scratch.size()));
 }
 
@@ -161,10 +158,10 @@ deliveredPerTenant(const ServiceLoop &loop, std::uint64_t tenants)
 }
 
 /**
- * The fairness cell: tenant t lives on partition t % 4; tenant 0 is
- * the aggressor, replaying the sig-collision adversarial stream at
- * 17 frames/cycle while every co-tenant offers 1/cycle — partition 0
- * sees 2x its 16-frame service budget. Returns the Jain index over
+ * The fairness cell: 4 partitions, tenant t on partitionOf(t);
+ * tenant 0 is the aggressor, replaying the sig-collision adversarial
+ * stream at 17 frames/cycle while every co-tenant offers 1/cycle —
+ * partition 0 sees 2x its 16-frame service budget. Returns the Jain index over
  * all 64 delivered counts plus the conservation bit.
  */
 std::vector<Metric>
@@ -218,14 +215,13 @@ runFairnessCell(std::size_t cycles, bool resilient,
         for (std::size_t k = 0; k < kAggressorRate; ++k) {
             const auto &frame =
                 aggressor[aggressor_seq % aggressor.size()];
-            if (pushFrame(loop, 0, scratch, frame, kAggressor,
+            if (pushFrame(loop, scratch, frame, kAggressor,
                           aggressor_seq))
                 ++pushed;
             ++aggressor_seq;
         }
         for (std::uint64_t t = 1; t < kTenants; ++t)
-            if (pushFrame(loop, t % kPartitions, scratch,
-                          victims[t][cycle], t, cycle))
+            if (pushFrame(loop, scratch, victims[t][cycle], t, cycle))
                 ++pushed;
         loop.runCycle();
     }
@@ -273,8 +269,7 @@ runOverloadCell(std::size_t cycles)
                 for (std::uint64_t k = 0; k < mult; ++k) {
                     const std::uint64_t seq = cycle * mult + k;
                     ++offered;
-                    if (pushFrame(loop, 0, scratch,
-                                  streams[t][seq], t, seq))
+                    if (pushFrame(loop, scratch, streams[t][seq], t, seq))
                         ++pushed;
                 }
             loop.runCycle();
@@ -339,8 +334,7 @@ runQuarantineCell()
                 static_cast<std::uint32_t>(scratch.size())))
             ++pushed;
         for (std::uint64_t t = 1; t < kTenants; ++t)
-            if (pushFrame(loop, 0, scratch, streams[t][cycle], t,
-                          cycle))
+            if (pushFrame(loop, scratch, streams[t][cycle], t, cycle))
                 ++pushed;
         loop.runCycle();
     }
@@ -373,10 +367,7 @@ feedRange(ServiceLoop &loop, const std::vector<EncodedStream> &streams,
     std::vector<std::uint8_t> scratch;
     for (std::size_t i = from; i < to; ++i) {
         for (std::uint64_t t = 0; t < streams.size(); ++t)
-            if (pushFrame(loop,
-                          static_cast<unsigned>(
-                              t % loop.numPartitions()),
-                          scratch, streams[t][i], t, i))
+            if (pushFrame(loop, scratch, streams[t][i], t, i))
                 ++pushed;
         loop.runCycle();
     }
@@ -536,8 +527,7 @@ runCheckpointChaosCell()
     std::vector<std::uint8_t> scratch;
     for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
         for (std::uint64_t t = 0; t < kTenants; ++t)
-            if (pushFrame(loop, 0, scratch, streams[t][cycle], t,
-                          cycle))
+            if (pushFrame(loop, scratch, streams[t][cycle], t, cycle))
                 ++pushed;
         loop.runCycle();
     }

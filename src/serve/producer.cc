@@ -156,7 +156,6 @@ runProducer(const ProducerTask &task)
             }
             ++c.pushed;
             ++c.tenantPushed[i];
-            c.bytes += len;
         }
     }
     return c;

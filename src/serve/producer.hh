@@ -78,7 +78,6 @@ struct ProducerCounters
     std::uint64_t dropped = 0;
     /** Full-ring stall events in Park mode (retries, not losses). */
     std::uint64_t parkEvents = 0;
-    std::uint64_t bytes = 0;
     /** Per-tenant breakdown, parallel to the task's tenant list —
      * the service attributes these into TenantCounters after the
      * producer joins. */

@@ -1,6 +1,7 @@
 #include "serve/service.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <thread>
 
@@ -77,18 +78,6 @@ ServiceLoop::setFaultInjector(unsigned i, fault::Injector *injector)
     tpcp_assert(i < parts_.size(), "partition index out of range");
     parts_[i]->injector = injector;
     parts_[i]->registry.setFaultInjector(injector);
-}
-
-void
-ServiceLoop::noteProducerStats(unsigned partition,
-                               std::uint64_t tenant,
-                               std::uint64_t park_events,
-                               std::uint64_t dropped)
-{
-    tpcp_assert(partition < parts_.size(),
-                "partition index out of range");
-    parts_[partition]->registry.noteProducerStats(tenant, park_events,
-                                                  dropped);
 }
 
 void
@@ -217,6 +206,74 @@ ServiceLoop::run()
         drainCycles_ += n;
 }
 
+ServeRun
+ServiceLoop::serve(const std::vector<ProducerTask> &tasks)
+{
+    tpcp_assert(tasks.size() == parts_.size(),
+                "one producer task per ring");
+    for (unsigned p = 0; p < tasks.size(); ++p)
+        tpcp_assert(tasks[p].ring == &parts_[p]->ring,
+                    "producer task p must push into ring p");
+    std::vector<ProducerCounters> pcs(tasks.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        std::vector<std::jthread> producers;
+        producers.reserve(tasks.size());
+        try {
+            for (unsigned p = 0; p < tasks.size(); ++p)
+                producers.emplace_back([&, p] {
+                    pcs[p] = runProducer(tasks[p]);
+                    producerDone(p);
+                });
+        } catch (...) {
+            // A thread failed to start. The started producers may
+            // be parked on full rings: drain them before the joins.
+            for (auto p = producers.size(); p < tasks.size(); ++p)
+                producerDone(static_cast<unsigned>(p));
+            run();
+            throw;
+        }
+        run();
+    } // joins the producers
+    ServeRun r;
+    r.elapsedSec = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    for (unsigned p = 0; p < tasks.size(); ++p) {
+        for (std::size_t i = 0; i < tasks[p].tenants.size(); ++i)
+            parts_[p]->registry.noteProducerStats(
+                tasks[p].tenants[i], pcs[p].tenantParks[i],
+                pcs[p].tenantDropped[i]);
+        r.produced.pushed += pcs[p].pushed;
+        r.produced.dropped += pcs[p].dropped;
+        r.produced.parkEvents += pcs[p].parkEvents;
+    }
+    return r;
+}
+
+std::vector<ProducerTask>
+ServiceLoop::producerTasks(std::uint64_t tenants,
+                           const std::vector<EncodedStream> &streams,
+                           const ProducerTask &proto)
+{
+    tpcp_assert(!streams.empty(), "producer tasks need a stream");
+    std::vector<ProducerTask> tasks(parts_.size(), proto);
+    for (unsigned p = 0; p < parts_.size(); ++p)
+        tasks[p].ring = &parts_[p]->ring;
+    for (std::uint64_t t = 0; t < tenants; ++t) {
+        ProducerTask &task = tasks[partitionOf(t)];
+        task.tenants.push_back(t);
+        task.streams.push_back(&streams[t % streams.size()]);
+    }
+    return tasks;
+}
+
+unsigned
+ServiceLoop::partitionOf(std::uint64_t tenant) const
+{
+    return static_cast<unsigned>(tenant % parts_.size());
+}
+
 std::size_t
 ServiceLoop::runCycle()
 {
@@ -255,7 +312,7 @@ ServiceLoop::migrateIn(const std::string &bundle_dir)
         loadMigrationBundle(bundle_dir,
                             opts.registry.checkpointDir);
     for (const MigratedTenant &t : tenants)
-        parts_[t.id % parts_.size()]->registry.adoptTenant(t);
+        parts_[partitionOf(t.id)]->registry.adoptTenant(t);
     return tenants.size();
 }
 

@@ -97,6 +97,27 @@ struct ServeCounters
     std::uint64_t resumeFailures = 0;
     /** Drain passes, summed over run()'s drain threads. */
     std::uint64_t drainCycles = 0;
+
+    /** The conservation identity's right-hand side: every frame a
+     * producer pushed ends up as exactly one of delivered,
+     * malformed, rejected, shed or quarantine-dropped, so this
+     * equals the pushed count unless a frame was lost silently. */
+    std::uint64_t
+    accounted() const
+    {
+        return packets + malformedPackets + rejectedPackets +
+               shedPackets + quarantineDrops;
+    }
+};
+
+/** What ServiceLoop::serve() measured. */
+struct ServeRun
+{
+    /** The producers' counters summed over rings; the per-tenant
+     * vectors stay empty (serve() attributes them to the tenants). */
+    ProducerCounters produced;
+    /** Wall time from the first producer start to the last join. */
+    double elapsedSec = 0.0;
 };
 
 /** One tenant's row in the service report. */
@@ -165,6 +186,32 @@ class ServiceLoop
     void run();
 
     /**
+     * Serves @p tasks end to end; every threaded run of the service
+     * goes through here. Starts one thread per task (task p pushes
+     * into ring(p)) that runs runProducer() and then producerDone(p),
+     * drains with run() on the calling thread, joins, and then
+     * (registries being confined to their drain thread until now)
+     * attributes every tenant's parks and drops to it in the
+     * registry of the ring its producer fed.
+     */
+    ServeRun serve(const std::vector<ProducerTask> &tasks);
+
+    /**
+     * One producer task per ring, each a copy of @p proto with its
+     * ring set: tenant t of [0, @p tenants) goes to partitionOf(t)
+     * and replays streams[t % streams.size()] (borrowed), so a
+     * tenant's input depends only on its id, never on the layout.
+     */
+    std::vector<ProducerTask>
+    producerTasks(std::uint64_t tenants,
+                  const std::vector<EncodedStream> &streams,
+                  const ProducerTask &proto = {});
+
+    /** The partition (= ring) that carries @p tenant's packets. A
+     * tenant never spans rings, so its packet order is total. */
+    unsigned partitionOf(std::uint64_t tenant) const;
+
+    /**
      * Runs exactly one drain cycle inline on the calling thread (no
      * drain threads): each partition pops up to drainBatch frames
      * and serves its backlog once. Returns the cycle's total
@@ -181,17 +228,6 @@ class ServiceLoop
     unsigned numWorkers() const;
     const TenantRegistry &registry(unsigned i) const;
     ServeCounters counters() const;
-
-    /**
-     * Merges producer-side backpressure counters for @p tenant into
-     * its partition's registry (park stalls, drops). Call after the
-     * producer threads joined — counter records, like drains, are
-     * partition-confined. @p partition must be the ring the tenant's
-     * producer pushed into.
-     */
-    void noteProducerStats(unsigned partition, std::uint64_t tenant,
-                           std::uint64_t park_events,
-                           std::uint64_t dropped);
 
     /**
      * Arms serve-layer fault injection for partition @p i: frames
@@ -215,8 +251,7 @@ class ServiceLoop
     /**
      * Validates the bundle at @p bundle_dir end to end, installs its
      * checkpoints into this service's checkpointDir, and adopts each
-     * tenant into partition (id % numPartitions()) — the same
-     * mapping the CLI uses to assign tenants to producers. Returns
+     * tenant into partitionOf(id), the ring its producer feeds. Returns
      * the number of tenants adopted. A damaged bundle raises a
      * recoverable tpcp::Error before any tenant is adopted. Call
      * before run().

@@ -196,14 +196,6 @@ class TenantRegistry
      */
     DeliverResult deliverPacket(const IntervalPacket &pkt);
 
-    /** Compatibility shim for callers that never enable quarantine:
-     * returns the assigned phase ID. */
-    PhaseId
-    deliver(const IntervalPacket &pkt)
-    {
-        return deliverPacket(pkt).phase;
-    }
-
     /**
      * Counts a flow-scheduler shed against @p tenant (and as an
      * offense), creating the tenant's counter record if needed —

@@ -62,9 +62,7 @@ feed(ServiceLoop &loop, const EncodedStream &stream,
         for (std::uint64_t t = 0; t < kTenants; ++t) {
             frame = stream[i];
             restampPacket(frame.data(), t, i);
-            const unsigned p =
-                static_cast<unsigned>(t % loop.numPartitions());
-            ASSERT_TRUE(loop.ring(p).tryPush(
+            ASSERT_TRUE(loop.ring(loop.partitionOf(t)).tryPush(
                 frame.data(),
                 static_cast<std::uint32_t>(frame.size())));
         }

@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.hh"
@@ -306,26 +305,13 @@ TEST(ServiceLoop, OverloadConservationExact)
     ServiceLoop loop(opts);
 
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
-    const EncodedStream stream = encodeSyntheticStream(2, 200, dims);
-    ProducerTask task;
-    task.ring = &loop.ring(0);
-    task.tenants = {0, 1, 2, 3};
-    task.streams = {&stream, &stream, &stream, &stream};
-    task.policy = BackpressurePolicy::Park;
-
-    ProducerCounters pc;
-    std::thread producer([&] {
-        pc = runProducer(task);
-        loop.producerDone(0);
-    });
-    loop.run();
-    producer.join();
+    const std::vector<EncodedStream> streams = {
+        encodeSyntheticStream(2, 200, dims)};
+    const ServeRun run = loop.serve(loop.producerTasks(4, streams));
 
     const ServeCounters c = loop.counters();
-    EXPECT_EQ(pc.pushed, 4 * stream.size());
-    EXPECT_EQ(c.packets + c.shedPackets + c.malformedPackets +
-                  c.rejectedPackets + c.quarantineDrops,
-              pc.pushed)
+    EXPECT_EQ(run.produced.pushed, 4 * streams[0].size());
+    EXPECT_EQ(c.accounted(), run.produced.pushed)
         << "conservation identity violated";
     // Per-tenant sheds are attributed.
     std::uint64_t shed = 0;
@@ -351,17 +337,8 @@ TEST(ServiceLoop, FairnessPathKeepsBatchIdentityWhenUnderLimit)
     for (unsigned k = 0; k < 2; ++k)
         streams.push_back(encodeSyntheticStream(k, 150, dims));
 
-    ProducerTask task;
-    task.ring = &loop.ring(0);
-    task.tenants = {0, 1, 2};
-    task.streams = {&streams[0], &streams[1], &streams[0]};
-    task.policy = BackpressurePolicy::Park;
-    std::thread producer([&] {
-        runProducer(task);
-        loop.producerDone(0);
-    });
-    loop.run();
-    producer.join();
+    // Tenants 0 and 2 replay streams[0], tenant 1 streams[1].
+    loop.serve(loop.producerTasks(3, streams));
 
     const ServeCounters c = loop.counters();
     EXPECT_EQ(c.packets, 3 * 150u);

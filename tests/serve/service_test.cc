@@ -55,44 +55,6 @@ streamOf(const std::vector<EncodedStream> &streams, std::uint64_t t)
     return streams[t % streams.size()];
 }
 
-/** One Park producer task per ring of @p loop, tenant t on ring
- * t % producers (the CLI's mapping). */
-std::vector<ProducerTask>
-producerTasks(ServiceLoop &loop, const std::vector<EncodedStream> &streams)
-{
-    std::vector<ProducerTask> tasks(loop.numPartitions());
-    for (unsigned p = 0; p < loop.numPartitions(); ++p) {
-        tasks[p].ring = &loop.ring(p);
-        tasks[p].policy = BackpressurePolicy::Park;
-    }
-    for (std::uint64_t t = 0; t < kTenants; ++t) {
-        ProducerTask &task = tasks[t % loop.numPartitions()];
-        task.tenants.push_back(t);
-        task.streams.push_back(&streamOf(streams, t));
-    }
-    return tasks;
-}
-
-/** Runs the full service over the test tenants and returns it. */
-std::unique_ptr<ServiceLoop>
-runService(const std::vector<EncodedStream> &streams,
-           const ServeOptions &opts)
-{
-    auto loop = std::make_unique<ServiceLoop>(opts);
-    const std::vector<ProducerTask> tasks =
-        producerTasks(*loop, streams);
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < opts.producers; ++p)
-        threads.emplace_back([&, p] {
-            runProducer(tasks[p]);
-            loop->producerDone(p);
-        });
-    loop->run();
-    for (std::thread &th : threads)
-        th.join();
-    return loop;
-}
-
 ServeOptions
 baseOptions()
 {
@@ -159,9 +121,10 @@ TEST(ServiceLoop, MatchesBatchPathSingleProducer)
 {
     ServeOptions opts = baseOptions();
     auto streams = testStreams(opts.registry.tracker);
-    auto loop = runService(streams, opts);
-    expectConservation(*loop);
-    expectBatchIdentity(*loop, streams, opts.registry.tracker);
+    ServiceLoop loop(opts);
+    loop.serve(loop.producerTasks(kTenants, streams));
+    expectConservation(loop);
+    expectBatchIdentity(loop, streams, opts.registry.tracker);
 }
 
 TEST(ServiceLoop, MatchesBatchPathAtAnyProducerCount)
@@ -186,10 +149,11 @@ TEST(ServiceLoop, MatchesBatchPathAtAnyProducerCount)
         opts.producers = sh.producers;
         opts.jobs = sh.jobs;
         auto streams = testStreams(opts.registry.tracker);
-        auto loop = runService(streams, opts);
-        EXPECT_EQ(loop->numWorkers(), sh.workers);
-        expectConservation(*loop);
-        expectBatchIdentity(*loop, streams, opts.registry.tracker);
+        ServiceLoop loop(opts);
+        loop.serve(loop.producerTasks(kTenants, streams));
+        EXPECT_EQ(loop.numWorkers(), sh.workers);
+        expectConservation(loop);
+        expectBatchIdentity(loop, streams, opts.registry.tracker);
     }
 }
 
@@ -230,7 +194,8 @@ TEST(ServiceLoop, RunAfterProducersFinished)
     opts.jobs = 2;
     auto streams = testStreams(opts.registry.tracker);
     ServiceLoop loop(opts);
-    const std::vector<ProducerTask> tasks = producerTasks(loop, streams);
+    const std::vector<ProducerTask> tasks =
+        loop.producerTasks(kTenants, streams);
     for (unsigned p = 0; p < opts.producers; ++p) {
         const ProducerCounters pc = runProducer(tasks[p]);
         ASSERT_EQ(pc.parkEvents, 0u) << "ring " << p << " filled up";
@@ -252,14 +217,96 @@ TEST(ServiceLoop, EvictResumePreservesIdentity)
     opts.registry.evictAfter = 16;
     opts.registry.checkpointDir = tempDir("serve_evict_ckpt");
     auto streams = testStreams(opts.registry.tracker);
-    auto loop = runService(streams, opts);
+    ServiceLoop loop(opts);
+    loop.serve(loop.producerTasks(kTenants, streams));
 
-    const ServeCounters c = loop->counters();
+    const ServeCounters c = loop.counters();
     EXPECT_GT(c.evictions, 0u) << "test exercised no eviction";
     EXPECT_GT(c.resumes, 0u) << "test exercised no resume";
     EXPECT_EQ(c.packets, std::uint64_t{kTenants} * kPackets);
     EXPECT_EQ(c.rejectedPackets, 0u);
-    expectBatchIdentity(*loop, streams, opts.registry.tracker);
+    expectBatchIdentity(loop, streams, opts.registry.tracker);
+}
+
+TEST(ServiceLoop, ServeAttributesProducerStatsToEachTenant)
+{
+    // Rings of about two frames with Drop producers: the producers
+    // outrun the drain and drop. serve() must attribute every drop
+    // (and park) to the tenant that suffered it, on the partition
+    // its producer fed, and return the producers' sums.
+    ServeOptions opts = baseOptions();
+    opts.producers = 2;
+    opts.jobs = 2;
+    opts.ringBytes = 2 * (packetBytes(opts.registry.tracker
+                                          .classifier.numCounters) +
+                          SpscRing::kFrameOverhead);
+    auto streams = testStreams(opts.registry.tracker);
+    ServiceLoop loop(opts);
+    ProducerTask proto;
+    proto.policy = BackpressurePolicy::Drop;
+    const ServeRun run =
+        loop.serve(loop.producerTasks(kTenants, streams, proto));
+
+    EXPECT_GT(run.produced.dropped, 0u) << "no ring ever filled";
+    EXPECT_EQ(run.produced.pushed + run.produced.dropped,
+              std::uint64_t{kTenants} * kPackets);
+    EXPECT_GT(run.elapsedSec, 0.0);
+    std::uint64_t dropped = 0, parks = 0;
+    for (std::uint64_t t = 0; t < kTenants; ++t) {
+        const TenantCounters &tc = loop.tenantCounters(t);
+        // Each tenant's stream is delivered or dropped, packet for
+        // packet: its own drops, not a neighbour's.
+        EXPECT_EQ(tc.packets + tc.packetsDropped, kPackets)
+            << "tenant " << t;
+        EXPECT_EQ(loop.registry(loop.partitionOf(t))
+                      .tenantCounters(t)
+                      .packetsDropped,
+                  tc.packetsDropped);
+        dropped += tc.packetsDropped;
+        parks += tc.parkEvents;
+    }
+    EXPECT_EQ(dropped, run.produced.dropped);
+    EXPECT_EQ(parks, run.produced.parkEvents);
+    EXPECT_EQ(loop.counters().accounted(), run.produced.pushed);
+}
+
+TEST(ServiceLoop, PartitionOfDealsTenantsRoundRobin)
+{
+    ServeOptions opts = baseOptions();
+    opts.producers = 3;
+    auto streams = testStreams(opts.registry.tracker);
+    ServiceLoop loop(opts);
+    const std::vector<ProducerTask> tasks =
+        loop.producerTasks(7, streams);
+    ASSERT_EQ(tasks.size(), 3u);
+    for (unsigned p = 0; p < 3; ++p) {
+        EXPECT_EQ(tasks[p].ring, &loop.ring(p));
+        for (std::size_t i = 0; i < tasks[p].tenants.size(); ++i) {
+            const std::uint64_t t = tasks[p].tenants[i];
+            EXPECT_EQ(loop.partitionOf(t), p);
+            EXPECT_EQ(tasks[p].streams[i], &streamOf(streams, t));
+        }
+    }
+    EXPECT_EQ(tasks[0].tenants, (std::vector<std::uint64_t>{0, 3, 6}));
+    EXPECT_EQ(tasks[1].tenants, (std::vector<std::uint64_t>{1, 4}));
+    EXPECT_EQ(tasks[2].tenants, (std::vector<std::uint64_t>{2, 5}));
+}
+
+TEST(ServeCounters, AccountedSumsEveryConservationTerm)
+{
+    ServeCounters c;
+    c.packets = 1;
+    c.malformedPackets = 2;
+    c.rejectedPackets = 4;
+    c.shedPackets = 8;
+    c.quarantineDrops = 16;
+    // Not terms of the identity: a gap was never pushed, and the
+    // rest count events, not frames.
+    c.lostUpstream = 32;
+    c.duplicateSeq = 64;
+    c.evictions = 128;
+    c.drainCycles = 256;
+    EXPECT_EQ(c.accounted(), 31u);
 }
 
 TEST(ServiceLoop, MalformedFramesCountedNotFatal)
@@ -306,17 +353,17 @@ TEST(TenantRegistry, DuplicateSequenceRejectedWithoutStateChange)
     pkt.cpi = 1.0;
 
     pkt.seq = 0;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     pkt.seq = 1;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     // Replay of seq 1: rejected, and the phase stream must not grow.
-    EXPECT_THROW(registry.deliver(pkt), Error);
+    EXPECT_THROW(registry.deliverPacket(pkt), Error);
     EXPECT_EQ(registry.phaseStream(9).size(), 2u);
     EXPECT_EQ(registry.counters().duplicateSeq, 1u);
     EXPECT_EQ(registry.tenantCounters(9).duplicateSeq, 1u);
     // The stream continues normally after the rejected replay.
     pkt.seq = 2;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.phaseStream(9).size(), 3u);
 }
 
@@ -333,11 +380,11 @@ TEST(TenantRegistry, ForwardGapCountedAsUpstreamLoss)
     pkt.cpi = 1.0;
 
     pkt.seq = 0;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     // Seqs 1..4 were dropped by a backpressured producer: the
     // consumer mirrors the loss so both sides agree on the count.
     pkt.seq = 5;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.counters().lostUpstream, 4u);
     EXPECT_EQ(registry.counters().seqGaps, 1u);
     EXPECT_EQ(registry.tenantCounters(4).lostUpstream, 4u);
@@ -357,16 +404,16 @@ TEST(TenantRegistry, FullRegistryWithoutCheckpointDirRaises)
 
     pkt.tenant = 1;
     pkt.seq = 0;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     // No checkpoint directory: the second tenant cannot evict the
     // first, and must be rejected recoverably instead of crashing.
     pkt.tenant = 2;
-    EXPECT_THROW(registry.deliver(pkt), Error);
+    EXPECT_THROW(registry.deliverPacket(pkt), Error);
     EXPECT_EQ(registry.numResident(), 1u);
     // The first tenant keeps working.
     pkt.tenant = 1;
     pkt.seq = 1;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.counters().packets, 2u);
 }
 

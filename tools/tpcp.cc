@@ -15,7 +15,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/report.hh"
@@ -292,6 +290,9 @@ badFlag(const std::string &flag, const std::string &problem)
     std::cerr << "error: --" << flag << " " << problem << "\n";
     std::exit(2);
 }
+
+/** Largest serve --producers. */
+constexpr unsigned kMaxProducers = 1024;
 
 /** Largest --entries: a bounded table reserves all of its entries up
  * front (0, unbounded, grows on demand). */
@@ -838,9 +839,11 @@ cmdServe(const ParsedArgs &args)
     const unsigned tenants = args.getU32("tenants", 8);
     if (tenants == 0)
         badFlag("tenants", "must be >= 1");
+    // Each producer is one ring plus one thread.
     const unsigned producers = args.getU32("producers", 1);
-    if (producers == 0)
-        badFlag("producers", "must be >= 1");
+    if (producers == 0 || producers > kMaxProducers)
+        badFlag("producers", "must be between 1 and " +
+                                 std::to_string(kMaxProducers));
     const unsigned num_streams = args.getU32("streams", 4);
     if (num_streams == 0)
         badFlag("streams", "must be >= 1");
@@ -884,10 +887,6 @@ cmdServe(const ParsedArgs &args)
                 trace::getProfileByName(name, popts),
                 ccfg.numCounters, packets));
     }
-    auto streamOf =
-        [&](std::uint64_t t) -> const serve::EncodedStream & {
-        return streams[t % streams.size()];
-    };
 
     const std::string phase_out = args.get("phase-out", "");
     if (args.has("batch")) {
@@ -899,7 +898,9 @@ cmdServe(const ParsedArgs &args)
         }
         for (std::uint64_t t = 0; t < tenants; ++t)
             serve::writePhaseStream(
-                phase_out, t, serve::batchPhaseStream(streamOf(t), tcfg));
+                phase_out, t,
+                serve::batchPhaseStream(streams[t % streams.size()],
+                                        tcfg));
         std::cout << "wrote " << tenants
                   << " batch phase streams to " << phase_out
                   << "\n";
@@ -923,8 +924,7 @@ cmdServe(const ParsedArgs &args)
     sopts.registry.quarantine.backoffBase = backoff;
     sopts.registry.quarantine.backoffCap =
         args.getU64("quarantine-backoff-cap", 1u << 20);
-    // Tenant t is fed by producer t % producers; a tenant never
-    // spans rings, so its packet order is total.
+    // partitionOf() deals tenants round-robin over the rings.
     const unsigned per_part = (tenants + producers - 1) / producers;
     const unsigned resident = args.getU32("resident", 0);
     sopts.registry.maxResident =
@@ -950,60 +950,26 @@ cmdServe(const ParsedArgs &args)
             return 1;
         }
     }
-    std::vector<serve::ProducerTask> tasks(producers);
-    for (unsigned p = 0; p < producers; ++p) {
-        tasks[p].ring = &loop.ring(p);
-        tasks[p].policy = args.has("drop")
-                              ? serve::BackpressurePolicy::Drop
-                              : serve::BackpressurePolicy::Park;
-        tasks[p].parkRetryLimit = args.getU64("park-retries", 0);
-        tasks[p].startStep = args.getU64("packet-base", 0);
-    }
-    for (std::uint64_t t = 0; t < tenants; ++t) {
-        serve::ProducerTask &task = tasks[t % producers];
-        task.tenants.push_back(t);
-        task.streams.push_back(&streamOf(t));
-    }
-
-    std::vector<serve::ProducerCounters> pcs(producers);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(producers);
-    for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back([&, p] {
-            pcs[p] = serve::runProducer(tasks[p]);
-            loop.producerDone(p);
-        });
-    loop.run();
-    for (std::thread &th : threads)
-        th.join();
-    const double elapsed =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    // Attribute producer-side backpressure (parks, drops) to the
-    // tenants that suffered it, now that the threads joined.
-    for (unsigned p = 0; p < producers; ++p)
-        for (std::size_t i = 0; i < tasks[p].tenants.size(); ++i)
-            loop.noteProducerStats(p, tasks[p].tenants[i],
-                                   pcs[p].tenantParks[i],
-                                   pcs[p].tenantDropped[i]);
+    serve::ProducerTask proto;
+    if (args.has("drop"))
+        proto.policy = serve::BackpressurePolicy::Drop;
+    proto.parkRetryLimit = args.getU64("park-retries", 0);
+    proto.startStep = args.getU64("packet-base", 0);
+    const serve::ServeRun run =
+        loop.serve(loop.producerTasks(tenants, streams, proto));
 
     serve::ServeReport rep;
     rep.tenants = tenants;
     rep.producers = producers;
     rep.jobs = loop.numWorkers();
-    for (const serve::ProducerCounters &c : pcs) {
-        rep.packetsProduced += c.pushed;
-        rep.packetsDropped += c.dropped;
-        rep.parkEvents += c.parkEvents;
-    }
+    rep.packetsProduced = run.produced.pushed;
+    rep.packetsDropped = run.produced.dropped;
+    rep.parkEvents = run.produced.parkEvents;
     rep.service = loop.counters();
-    rep.elapsedSec = elapsed;
+    rep.elapsedSec = run.elapsedSec;
     rep.packetsPerSec =
-        elapsed > 0.0
-            ? static_cast<double>(rep.service.packets) / elapsed
+        run.elapsedSec > 0.0
+            ? static_cast<double>(rep.service.packets) / run.elapsedSec
             : 0.0;
     if (!phase_out.empty() || tenants <= 64)
         for (std::uint64_t id : loop.allTenantIds())
@@ -1036,14 +1002,9 @@ cmdServe(const ParsedArgs &args)
     table.print(std::cout);
 
     // Every packet a producer pushed must be accounted for at the
-    // consumer: delivered, malformed, visibly rejected, shed by the
-    // flow scheduler, or dropped in quarantine. Anything else is
-    // silent loss, which is a bug, not a statistic.
-    const std::uint64_t accounted = rep.service.packets +
-                                    rep.service.malformedPackets +
-                                    rep.service.rejectedPackets +
-                                    rep.service.shedPackets +
-                                    rep.service.quarantineDrops;
+    // consumer; anything else is silent loss, which is a bug, not a
+    // statistic.
+    const std::uint64_t accounted = rep.service.accounted();
     if (accounted != rep.packetsProduced) {
         std::cerr << "error: silent packet loss: "
                   << rep.packetsProduced << " pushed but only "
@@ -1467,7 +1428,11 @@ commands()
                 {"batch", Kind::Flag,
                  "with --phase-out: write the batch-reference "
                  "streams instead of running the service"},
-                jsonFlag("the ServeReport"),
+                {"json", Kind::Text,
+                 "write the ServeReport as JSON ('-' disables); its "
+                 "drain_cycles, and with fairness or quarantine on "
+                 "its shed, quarantine and lost_upstream counts, "
+                 "follow drain-thread timing and differ run to run"},
                 {"min-rate", Kind::Real,
                  "exit 1 if delivered packets/s fall below this (CI "
                  "tripwire)"}}}),
